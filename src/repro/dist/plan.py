@@ -11,15 +11,17 @@ other.
 Two things are deliberately decoupled:
 
 * **numerics** run stage-by-stage through the *same* operator sequence
-  the base plan's executor applies — linear stages execute contiguous
-  layer-binding slices via :class:`~repro.sim.network_exec.NetworkExecutor`,
-  graph stages execute :meth:`~repro.graph.executor.GraphExecutor.run_atom`
-  runs — so outputs are **bit-identical** to direct execution, including
-  under fault plans (faults live inside the unchanged fused executors);
+  the base plan's executor applies — linear stages apply contiguous
+  layer-binding slices through :func:`repro.sim.ops.apply_spec` with the
+  base executor's weights, graph stages execute
+  :meth:`~repro.graph.executor.GraphExecutor.run_atom` runs — so outputs
+  are **bit-identical** to direct execution, including under fault plans
+  (faults live inside the unchanged fused executors);
 * **timing** is simulated in virtual cycles: every ``execute`` call also
   runs the micro-batch scheduler over the frozen stage costs and records
   the result (``last_run``) plus wall-clock per-stage offsets
-  (``last_stage_report``) for the per-device trace lanes.
+  (``last_stage_report``) for the per-device trace lanes, both per
+  calling thread.
 
 The plan key carries ``family="pipeline"`` and a variant tagged with the
 device count and fleet fingerprint (``pipe:d<K>:<fp>``), so a sharded
@@ -43,6 +45,7 @@ from ..hw.device import DeviceSpec
 from ..hw.link import DEFAULT_LINK, LinkSpec
 from ..nn.layers import ConvSpec, PoolSpec
 from ..nn.stages import extract_levels, independent_units
+from ..sim import ops
 from .pipeline import MicroBatchRun, simulate_microbatches
 from .stage import PipelineEstimate, balance_stages, plan_atoms
 
@@ -159,7 +162,6 @@ class PipelinePlan:
         self.seed = base.seed
         self.degraded = base.degraded
         self.executor = base.executor
-        self.last_run: Optional[MicroBatchRun] = None
         self._tls = threading.local()
         if base.key.family == "linear":
             self._stage_bindings = _linear_stage_bindings(
@@ -198,6 +200,12 @@ class PipelinePlan:
     @property
     def byte_size(self) -> int:
         return self.base.byte_size
+
+    @property
+    def last_run(self) -> Optional[MicroBatchRun]:
+        """The micro-batch scheduler's verdict for this thread's last
+        ``execute`` call."""
+        return getattr(self._tls, "run", None)
 
     @property
     def last_stage_report(self) -> Optional[List[Dict[str, Any]]]:
@@ -255,7 +263,7 @@ class PipelinePlan:
                 })
                 offset += stage_wall[idx]
             self._tls.report = report
-            self.last_run = simulate_microbatches(
+            self._tls.run = simulate_microbatches(
                 [s.stage_cycles for s in self.estimate.stages],
                 [s.link_cycles for s in self.estimate.stages],
                 num_items=len(items), queue_depth=self.queue_depth)
@@ -268,7 +276,8 @@ class PipelinePlan:
                    envs: Optional[Dict[str, np.ndarray]]) -> np.ndarray:
         if self._stage_bindings is not None:
             for binding in self._stage_bindings[idx]:
-                current = self.base.executor._apply(binding.spec, current)
+                current = ops.apply_spec(binding.spec, current,
+                                         self.base.executor.params)
             return current
         assert envs is not None and self._stage_atoms is not None
         for atom in self._stage_atoms[idx]:

@@ -1,9 +1,10 @@
 """Graph execution: a NumPy reference walk and the fused-segment path.
 
-``run_reference`` evaluates the DAG node by node with the plain
-operators from :mod:`repro.sim.ops` — no lowering involved, so it is an
-independent oracle for the fused path. ``run_fused`` executes the
-lowered program: each segment runs group-by-group through the unmodified
+``run_reference`` evaluates the DAG node by node — layers through
+:func:`repro.sim.ops.apply_spec`, joins through this module's one join
+evaluation — with no lowering involved, so it is an independent oracle
+for the fused path. ``run_fused`` executes the lowered program: each
+segment runs group-by-group through the unmodified
 :class:`~repro.sim.fused.FusedExecutor` (pyramid schedule, reuse
 buffers, fault repair), joins evaluate as NumPy elementwise/concat ops,
 and a fused join replaces the body's DRAM output write with the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConfigError
-from ..nn.layers import ConvSpec, FCSpec, LRNSpec, PadSpec, PoolSpec, ReLUSpec
+from ..nn.layers import ConvSpec, FCSpec
 from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from ..sim import ops
@@ -35,7 +36,7 @@ from ..sim.fused import FusedExecutor
 from ..sim.trace import TrafficTrace
 from ..sim.weights import make_input
 from .explore import SegmentDecision
-from .ir import INPUT, ConcatSpec, EltwiseSpec, GraphNetwork
+from .ir import INPUT, JOIN_SPECS, EltwiseSpec, GraphNetwork
 from .lower import GraphProgram, JoinInfo, JoinStep, OpaqueStep, SegmentStep, lower_graph
 
 
@@ -221,8 +222,7 @@ class GraphExecutor:
 
     @property
     def buffer_bytes(self) -> int:
-        """Reuse-buffer footprint summed over all fused groups (computed
-        lazily by each group on first run)."""
+        """Reuse-buffer footprint summed over all fused groups."""
         return sum(ex.buffer_bytes
                    for group in self._group_executors for ex in group)
 
@@ -247,7 +247,12 @@ class GraphExecutor:
                 if trace is not None:
                     for arr in inputs:
                         trace.read(node.name, arr.size)
-                out = self._apply_node(node, inputs)
+                spec = node.spec
+                if isinstance(spec, JOIN_SPECS):
+                    kind = spec.op if isinstance(spec, EltwiseSpec) else "concat"
+                    out = _join(kind, inputs)
+                else:
+                    out = ops.apply_spec(spec, inputs[0], self.params)
                 shape = node.output_shape
                 if out.shape != (shape.channels, shape.height, shape.width):
                     raise ShapeError(
@@ -256,33 +261,6 @@ class GraphExecutor:
                     trace.write(node.name, out.size)
                 env[node.name] = out
         return env[self.program.output_tensor]
-
-    def _apply_node(self, node, inputs: List[np.ndarray]) -> np.ndarray:
-        spec = node.spec
-        if isinstance(spec, EltwiseSpec):
-            return _eltwise(spec.op, inputs)
-        if isinstance(spec, ConcatSpec):
-            return np.concatenate(inputs, axis=0)
-        x = inputs[0]
-        if isinstance(spec, ConvSpec):
-            w, b = self.params[spec.name]
-            return ops.conv2d(x, w, b, stride=spec.stride, pad=spec.padding,
-                              groups=spec.groups)
-        if isinstance(spec, PoolSpec):
-            if spec.mode == "max":
-                return ops.maxpool2d(x, spec.kernel, spec.stride)
-            return ops.avgpool2d(x, spec.kernel, spec.stride)
-        if isinstance(spec, ReLUSpec):
-            return ops.relu(x)
-        if isinstance(spec, PadSpec):
-            return ops.pad2d(x, spec.pad)
-        if isinstance(spec, LRNSpec):
-            return ops.lrn(x, size=spec.size, alpha=spec.alpha,
-                           beta=spec.beta, k=spec.k)
-        if isinstance(spec, FCSpec):
-            w, b = self.params[spec.name]
-            return ops.fully_connected(x, w, b)
-        raise ShapeError(f"no operator for {spec!r}")
 
     # -- fused path -----------------------------------------------------------
 
@@ -364,7 +342,7 @@ class GraphExecutor:
     def _run_opaque(self, step: OpaqueStep, env: Dict[str, np.ndarray],
                     trace: Optional[TrafficTrace]) -> None:
         x = env[step.input_tensor]
-        out = self._apply_node(step.node, [x])
+        out = ops.apply_spec(step.node.spec, x, self.params)
         env[step.output_tensor] = out
         if trace is not None:
             trace.read(step.name, x.size)
@@ -466,12 +444,15 @@ class ExecAtom:
                         riders=self.riders + (rider,))
 
 
-def _eltwise(op: str, arrays: List[np.ndarray]) -> np.ndarray:
+def _join(kind: str, arrays: List[np.ndarray]) -> np.ndarray:
+    """One join: ``"concat"`` along channels, else an elementwise fold."""
+    if kind == "concat":
+        return np.concatenate(arrays, axis=-3)
     out = arrays[0]
     for arr in arrays[1:]:
-        if op == "add":
+        if kind == "add":
             out = out + arr
-        elif op == "mul":
+        elif kind == "mul":
             out = out * arr
         else:
             out = np.maximum(out, arr)
@@ -479,11 +460,5 @@ def _eltwise(op: str, arrays: List[np.ndarray]) -> np.ndarray:
 
 
 def _eval_join(join: JoinInfo, env: Dict[str, np.ndarray]) -> np.ndarray:
-    arrays = [env[t] for t in join.operands]
-    if join.kind == "concat":
-        out = np.concatenate(arrays, axis=0)
-    else:
-        out = _eltwise(join.kind, arrays)
-    if join.has_relu:
-        out = ops.relu(out)
-    return out
+    out = _join(join.kind, [env[t] for t in join.operands])
+    return ops.relu(out) if join.has_relu else out

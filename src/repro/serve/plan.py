@@ -48,7 +48,6 @@ from ..nn.layers import (
 from ..nn.network import Network
 from ..nn.shapes import TensorShape
 from ..nn.stages import extract_levels, independent_units
-from ..sim.batched import BatchedNetworkExecutor, preserves_exact_arithmetic
 from ..sim.network_exec import NetworkExecutor
 from .sanitizer import make_lock
 
@@ -148,13 +147,11 @@ class CompiledPlan:
     """A frozen, executable configuration for one network.
 
     Holds the network, its chosen fusion partition and per-group pyramid
-    geometry, and the executors (deterministic weights per ``seed``).
-    Execution delegates to the vectorized
-    :class:`~repro.sim.batched.BatchedNetworkExecutor` when ``"int"``
-    precision meets an exactness-preserving network (see
-    :func:`~repro.sim.batched.preserves_exact_arithmetic`) — bit-identical
-    to per-item execution in that regime — and to
-    :meth:`NetworkExecutor.run_batch` otherwise.
+    geometry, and the executor (deterministic weights per ``seed``).
+    Execution is :meth:`NetworkExecutor.run_batch`: one stacked call per
+    layer when ``"int"`` precision meets an exactness-preserving network
+    (see :func:`~repro.sim.network_exec.preserves_exact_arithmetic`), the
+    per-item loop otherwise — bit-identical to per-item runs either way.
     """
 
     def __init__(self, key: PlanKey, network: Network,
@@ -169,11 +166,8 @@ class CompiledPlan:
         self.seed = seed
         self.degraded = degraded
         self.compile_s = compile_s
-        integer = key.precision == "int"
-        self.executor = NetworkExecutor(network, seed=seed, integer=integer)
-        self.batched: Optional[BatchedNetworkExecutor] = (
-            BatchedNetworkExecutor(network, params=self.executor.params)
-            if integer and preserves_exact_arithmetic(network) else None)
+        self.executor = NetworkExecutor(network, seed=seed,
+                                        integer=key.precision == "int")
 
     @property
     def byte_size(self) -> int:
@@ -191,8 +185,6 @@ class CompiledPlan:
     def execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Run a batch; outputs are bit-identical to per-item
         :meth:`NetworkExecutor.run` calls."""
-        if self.batched is not None:
-            return self.batched.run_batch(list(xs))
         return self.executor.run_batch(xs)
 
     def describe(self) -> str:

@@ -1,14 +1,14 @@
 """Functional simulator: reference and fused executors with traffic tracing."""
 
-from .batched import BatchedNetworkExecutor, preserves_exact_arithmetic
 from .cache import CacheSim, CacheStats
 from .fused import FusedExecutor, plan_levels
 from .memtrace import build_address_map, fused_trace, reference_trace
-from .ops import avgpool2d, conv2d, fully_connected, lrn, maxpool2d, pad2d, relu
-from .network_exec import NetworkExecutor
+from .ops import (apply_spec, avgpool2d, conv2d, fully_connected, lrn,
+                  maxpool2d, pad2d, relu, run_level)
+from .network_exec import NetworkExecutor, preserves_exact_arithmetic
 from .partitioned import PartitionedExecutor
 from .recompute import InputLineBuffer, RecomputeExecutor
-from .reference import ReferenceExecutor, run_level
+from .reference import ReferenceExecutor
 from .reuse import MapReuseState, ReuseError
 from .tiled import TiledBaselineExecutor
 from .trace import TrafficTrace
@@ -21,8 +21,6 @@ from .weights import (
 )
 
 __all__ = [
-    "BatchedNetworkExecutor",
-    "preserves_exact_arithmetic",
     "CacheSim",
     "CacheStats",
     "FusedExecutor",
@@ -35,6 +33,7 @@ __all__ = [
     "ReuseError",
     "TiledBaselineExecutor",
     "TrafficTrace",
+    "apply_spec",
     "avgpool2d",
     "build_address_map",
     "conv2d",
@@ -48,6 +47,7 @@ __all__ = [
     "maxpool2d",
     "pad2d",
     "plan_levels",
+    "preserves_exact_arithmetic",
     "reference_trace",
     "relu",
     "save_params",

@@ -22,7 +22,7 @@ read exactly once and each output element written exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..faults.spec import TRANSFER_CORRUPT
 from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from . import ops
-from .reuse import MapReuseState
+from .reuse import BufferSpec, MapReuseState
 from .trace import TrafficTrace
 from .weights import make_level_weights
 
@@ -58,6 +58,15 @@ class _LevelPlan:
 
 def _bounds(out_bounds: Sequence[int], kernel: int, stride: int) -> Tuple[int, ...]:
     return tuple(0 if ob == 0 else (ob - 1) * stride + kernel for ob in out_bounds)
+
+
+class _Call(NamedTuple):
+    """Per-call state of one :meth:`FusedExecutor.run`: kept off the
+    executor so concurrent calls on one executor never share it."""
+
+    input: np.ndarray
+    trace: TrafficTrace
+    states: List[Optional[MapReuseState]]
 
 
 def plan_levels(levels: Sequence[Level], tip_h: int, tip_w: int) -> List[_LevelPlan]:
@@ -115,6 +124,9 @@ class FusedExecutor:
         bit-identical to the fault-free golden reference*; only the
         traffic changes. Exhausting the retry budget raises
         :class:`~repro.errors.SimFaultError`.
+
+    The executor holds configuration only: every :meth:`run` allocates
+    its own reuse buffers and trace, so threads may share one executor.
     """
 
     def __init__(self, levels: Sequence[Level],
@@ -135,8 +147,13 @@ class FusedExecutor:
         final = self.levels[-1].out_shape
         self.grid_rows = final.height // tip_h
         self.grid_cols = final.width // tip_w
-        self._states: List[Optional[MapReuseState]] = []
-        self.buffer_bytes = 0
+        #: BL/BT buffer geometry per level (None: no reuse buffering);
+        #: every call allocates its own buffers from it.
+        self.buffers = tuple(self._buffer_spec(i, plan)
+                             for i, plan in enumerate(self.plans))
+        self.buffer_bytes = sum(
+            b.buffer_elements for b in self.buffers if b is not None
+        ) * np.dtype(self.dtype).itemsize
         self._faults = faults
         self._retry = retry if retry is not None else RetryPolicy()
 
@@ -147,9 +164,10 @@ class FusedExecutor:
         first = self.levels[0].in_shape
         if x.shape != (first.channels, first.height, first.width):
             raise ShapeError(f"input shape {x.shape} != expected {first}")
-        self._input = np.asarray(x, dtype=self.dtype)
-        self._trace = trace if trace is not None else TrafficTrace()
-        self._init_states()
+        call = _Call(input=np.asarray(x, dtype=self.dtype),
+                     trace=trace if trace is not None else TrafficTrace(),
+                     states=[None if b is None else b.allocate(self.dtype)
+                             for b in self.buffers])
         final = self.levels[-1].out_shape
         out = np.zeros((final.channels, final.height, final.width), dtype=self.dtype)
 
@@ -159,63 +177,48 @@ class FusedExecutor:
             for p in range(self.grid_rows):
                 with obs.span("fused.pyramid_row", row=p):
                     for q in range(self.grid_cols):
-                        fresh, box = self._run_pyramid(p, q)
+                        fresh, box = self._run_pyramid(call, p, q)
                         r0, r1, c0, c1 = box
                         out[:, r0:r1, c0:c1] = fresh
-                        self._trace.write("output", fresh.size)
+                        call.trace.write("output", fresh.size)
                         obs.add_counter("sim.fused.pyramids", 1)
             obs.set_gauge("sim.fused.buffer_bytes", self.buffer_bytes)
-            obs.mirror_traffic(self._trace, "sim.fused")
+            obs.mirror_traffic(call.trace, "sim.fused")
         return out
 
     # -- setup ----------------------------------------------------------------
 
-    def _init_states(self) -> None:
-        self._states = []
-        for i, plan in enumerate(self.plans):
-            level = plan.level
-            overlap = level.overlap
-            if i == 0 and not self.input_reuse:
-                self._states.append(None)
-                continue
-            # A buffer is only needed along an axis where pyramids actually
-            # overlap: K > S and more than one pyramid position.
-            need_v = overlap if self.grid_rows > 1 else 0
-            need_h = overlap if self.grid_cols > 1 else 0
-            if need_v == 0 and need_h == 0:
-                self._states.append(None)
-                continue
-            padded = level.padded_in_shape
-            # Tallest input window over all pyramid rows (usually the
-            # first row's, but padding larger than K - S makes interior
-            # windows taller).
-            max_bl_rows = max(
-                plan.ib_r[p + 1] - plan.ob_r[p] * level.stride
-                for p in range(self.grid_rows)
-            )
-            self._states.append(
-                MapReuseState(
-                    name=f"in[{level.name}]",
-                    channels=level.in_channels,
-                    hp=padded.height,
-                    wp=padded.width,
-                    o_v=need_v,
-                    o_h=need_h,
-                    max_bl_rows=max_bl_rows,
-                    dtype=self.dtype,
-                )
-            )
-        self.buffer_bytes = sum(
-            s.buffer_elements for s in self._states if s is not None
-        ) * np.dtype(self.dtype).itemsize
+    def _buffer_spec(self, i: int, plan: _LevelPlan) -> Optional[BufferSpec]:
+        level = plan.level
+        if i == 0 and not self.input_reuse:
+            return None
+        # A buffer is only needed along an axis where pyramids actually
+        # overlap: K > S and more than one pyramid position.
+        need_v = level.overlap if self.grid_rows > 1 else 0
+        need_h = level.overlap if self.grid_cols > 1 else 0
+        if need_v == 0 and need_h == 0:
+            return None
+        padded = level.padded_in_shape
+        # Tallest input window over all pyramid rows (usually the
+        # first row's, but padding larger than K - S makes interior
+        # windows taller).
+        max_bl_rows = max(
+            plan.ib_r[p + 1] - plan.ob_r[p] * level.stride
+            for p in range(self.grid_rows)
+        )
+        return BufferSpec(name=f"in[{level.name}]", channels=level.in_channels,
+                          hp=padded.height, wp=padded.width, o_v=need_v,
+                          o_h=need_h, max_bl_rows=max_bl_rows)
 
     # -- per-pyramid execution --------------------------------------------------
 
-    def _run_pyramid(self, p: int, q: int) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
+    def _run_pyramid(self, call: _Call, p: int,
+                     q: int) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
         with obs.span("fused.pyramid", p=p, q=q):
-            return self._run_pyramid_levels(p, q)
+            return self._run_pyramid_levels(call, p, q)
 
-    def _run_pyramid_levels(self, p: int, q: int) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
+    def _run_pyramid_levels(self, call: _Call, p: int,
+                            q: int) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
         pending: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
         for i, plan in enumerate(self.plans):
             level = plan.level
@@ -235,24 +238,24 @@ class FusedExecutor:
             rbt = max(plan.ib_r[p], rlo)
             cbl = max(plan.ib_c[q], clo)
 
-            window = self._assemble(i, pending, rlo, rbt, rhi, clo, cbl, chi)
-            self._update_buffers(i, window, p, q, rlo, rbt, rhi, clo, chi)
-            fresh = self._compute(level, window)
+            window = self._assemble(call, i, pending, rlo, rbt, rhi, clo, cbl, chi)
+            self._update_buffers(call, i, window, p, q, rlo, rbt, rhi, clo, chi)
+            fresh = ops.run_level(level, window, self.params, pad=0)
             expect = (level.out_channels, b_r - a_r, b_c - a_c)
             if fresh.shape != expect:
                 raise ShapeError(
                     f"{level.name}: fresh block {fresh.shape} != expected {expect}"
                 )
-            self._trace.compute(level.name, fresh.size * level.ops_per_output)
+            call.trace.compute(level.name, fresh.size * level.ops_per_output)
             pending = (fresh, (a_r, b_r, a_c, b_c))
         assert pending is not None
         return pending
 
-    def _assemble(self, i: int, pending, rlo: int, rbt: int, rhi: int,
-                  clo: int, cbl: int, chi: int) -> np.ndarray:
+    def _assemble(self, call: _Call, i: int, pending, rlo: int, rbt: int,
+                  rhi: int, clo: int, cbl: int, chi: int) -> np.ndarray:
         """Build level ``i``'s input window from BT + BL + fresh data."""
         level = self.plans[i].level
-        state = self._states[i]
+        state = call.states[i]
         channels = level.in_channels
         window = np.zeros((channels, rhi - rlo, chi - clo), dtype=self.dtype)
 
@@ -261,7 +264,7 @@ class FusedExecutor:
             # (only legal for the group input with input_reuse=False, or a
             # map with no inter-pyramid overlap).
             if i == 0:
-                window[:] = self._read_input(rlo, rhi, clo, chi)
+                window[:] = self._read_input(call, rlo, rhi, clo, chi)
             else:
                 window[:] = self._place_fresh(i, pending, rlo, rhi, clo, chi)
             return window
@@ -271,15 +274,16 @@ class FusedExecutor:
         if cbl > clo:
             window[:, rbt - rlo:, :cbl - clo] = state.read_bl(rbt, rhi, clo, cbl)
         if i == 0:
-            fresh = self._read_input(rbt, rhi, cbl, chi)
+            fresh = self._read_input(call, rbt, rhi, cbl, chi)
         else:
             fresh = self._place_fresh(i, pending, rbt, rhi, cbl, chi)
         window[:, rbt - rlo:, cbl - clo:] = fresh
         return window
 
-    def _update_buffers(self, i: int, window: np.ndarray, p: int, q: int,
-                        rlo: int, rbt: int, rhi: int, clo: int, chi: int) -> None:
-        state = self._states[i]
+    def _update_buffers(self, call: _Call, i: int, window: np.ndarray, p: int,
+                        q: int, rlo: int, rbt: int, rhi: int, clo: int,
+                        chi: int) -> None:
+        state = call.states[i]
         if state is None:
             return
         plan = self.plans[i]
@@ -301,19 +305,21 @@ class FusedExecutor:
                 state.write_bt(window[:, rhi - state.o_v - rlo:, :w1 - clo],
                                row_lo=rhi - state.o_v, col_lo=clo, col_hi=w1)
 
-    def _read_input(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    def _read_input(self, call: _Call, r0: int, r1: int, c0: int,
+                    c1: int) -> np.ndarray:
         """Read a padded-coordinate block of the group input from DRAM."""
         level = self.levels[0]
-        block = self._pad_block(self._input, level.pad, r0, r1, c0, c1)
+        block = self._pad_block(call.input, level.pad, r0, r1, c0, c1)
         real = self._real_elements(level.pad, level.in_shape, r0, r1, c0, c1)
         if real:
-            words = real * self._input.shape[0]
-            self._trace.read("input", words)
+            words = real * call.input.shape[0]
+            call.trace.read("input", words)
             if self._faults is not None:
-                self._repair_corrupt_read(f"input[{r0}:{c0}]", words)
+                self._repair_corrupt_read(call.trace, f"input[{r0}:{c0}]", words)
         return block
 
-    def _repair_corrupt_read(self, site: str, words: int) -> None:
+    def _repair_corrupt_read(self, trace: TrafficTrace, site: str,
+                             words: int) -> None:
         """Detect-and-refetch loop for one DRAM read under injected
         ``transfer_corrupt`` faults. The returned data is always correct
         (detection never misses); the cost is re-read traffic, traced as
@@ -325,7 +331,7 @@ class FusedExecutor:
             if attempt >= self._retry.max_attempts:
                 raise self._retry.exhausted(site, TRANSFER_CORRUPT, words=words)
             self._faults.record_refetch(site)
-            self._trace.read("input_refetch", words)
+            trace.read("input_refetch", words)
             attempt += 1
 
     def _place_fresh(self, i: int, pending, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -375,15 +381,3 @@ class FusedExecutor:
         u_r0, u_r1 = max(r0 - pad, 0), min(r1 - pad, shape.height)
         u_c0, u_c1 = max(c0 - pad, 0), min(c1 - pad, shape.width)
         return max(u_r1 - u_r0, 0) * max(u_c1 - u_c0, 0)
-
-    def _compute(self, level: Level, window: np.ndarray) -> np.ndarray:
-        if level.is_conv:
-            w, b = self.params[level.name]
-            out = ops.conv2d(window, w, b, stride=level.stride, groups=level.groups)
-        elif level.pool_mode == "max":
-            out = ops.maxpool2d(window, level.kernel, level.stride)
-        else:
-            out = ops.avgpool2d(window, level.kernel, level.stride)
-        if level.has_relu:
-            out = ops.relu(out)
-        return out

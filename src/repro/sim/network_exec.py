@@ -5,7 +5,9 @@ cover the fusion scope — windowed layers plus ReLU/padding. This module
 executes complete :class:`~repro.nn.network.Network` objects, including
 the LRN and fully connected layers the paper's accelerators exclude, so
 zoo networks can be evaluated end to end (the role Torch played for the
-paper's tool).
+paper's tool). Each layer goes through :func:`repro.sim.ops.apply_spec`,
+and a batch runs either as one stacked call per layer or item by item —
+see :meth:`NetworkExecutor.run_batch`.
 """
 
 from __future__ import annotations
@@ -14,21 +16,35 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import (
-    ConvSpec,
-    FCSpec,
-    LayerSpec,
-    LRNSpec,
-    PadSpec,
-    PoolSpec,
-    ReLUSpec,
-)
+from ..nn.layers import LRNSpec, PoolSpec
 from .. import obs
 from ..nn.network import Network
 from ..nn.shapes import ShapeError
 from . import ops
 from .trace import TrafficTrace
 from .weights import make_network_weights
+
+
+def preserves_exact_arithmetic(network: Network) -> bool:
+    """True when every layer keeps integer-mode activations exact.
+
+    Convolution, ReLU, padding, max pooling, and dense layers map
+    integer-valued float64 tensors to exactly-representable values, as
+    does average pooling with a power-of-two window count (division by a
+    power of two is exact). LRN is not exact (``scale ** 0.75`` rounds),
+    and a rounded activation makes every downstream reduction
+    order-sensitive — so such networks must run batches item by item to
+    stay bit-identical.
+    """
+    for binding in network:
+        spec = binding.spec
+        if isinstance(spec, LRNSpec):
+            return False
+        if isinstance(spec, PoolSpec) and spec.mode == "avg":
+            count = spec.kernel * spec.kernel
+            if count & (count - 1):
+                return False
+    return True
 
 
 class NetworkExecutor:
@@ -45,72 +61,70 @@ class NetworkExecutor:
         self.network = network
         self.params = params if params is not None else make_network_weights(
             network, seed=seed, integer=integer)
-
-    def _apply(self, spec: LayerSpec, x: np.ndarray) -> np.ndarray:
-        if isinstance(spec, ConvSpec):
-            w, b = self.params[spec.name]
-            return ops.conv2d(x, w, b, stride=spec.stride, pad=spec.padding,
-                              groups=spec.groups)
-        if isinstance(spec, PoolSpec):
-            if spec.mode == "max":
-                return ops.maxpool2d(x, spec.kernel, spec.stride)
-            return ops.avgpool2d(x, spec.kernel, spec.stride)
-        if isinstance(spec, ReLUSpec):
-            return ops.relu(x)
-        if isinstance(spec, PadSpec):
-            return ops.pad2d(x, spec.pad)
-        if isinstance(spec, LRNSpec):
-            return ops.lrn(x, size=spec.size, alpha=spec.alpha, beta=spec.beta,
-                           k=spec.k)
-        if isinstance(spec, FCSpec):
-            w, b = self.params[spec.name]
-            return ops.fully_connected(x, w, b)
-        raise ShapeError(f"no operator for {spec!r}")
+        #: One stacked call per layer is bit-identical to per-item runs
+        #: only when all arithmetic is exact: integer mode on a network
+        #: that keeps it so. Float BLAS may block a wider matmul
+        #: differently and change final ULPs.
+        self.vectorized = integer and preserves_exact_arithmetic(network)
 
     def run(self, x: np.ndarray, trace: Optional[TrafficTrace] = None) -> np.ndarray:
         """Evaluate the whole network; returns the final output volume."""
         return self.run_all(x, trace)[-1] if len(self.network) else np.asarray(x)
 
     def run_all(self, x: np.ndarray, trace: Optional[TrafficTrace] = None) -> List[np.ndarray]:
-        """Evaluate all layers, returning every intermediate volume."""
+        """Evaluate all layers, returning every intermediate volume.
+
+        ``x`` is one ``(C, H, W)`` volume or a stacked ``(B, C, H, W)``
+        batch; a batch's traffic is the sum of its items'.
+        """
         expected = self.network.input_shape
-        if x.shape != (expected.channels, expected.height, expected.width):
-            raise ShapeError(f"input {x.shape} != network input {expected}")
-        outputs: List[np.ndarray] = []
         current = np.asarray(x)
+        lead = current.shape[:-3]
+        if (current.ndim not in (3, 4) or current.shape[-3:]
+                != (expected.channels, expected.height, expected.width)):
+            raise ShapeError(f"input {current.shape} != network input {expected}")
+        items = current.shape[0] if lead else 1
+        outputs: List[np.ndarray] = []
         with obs.span("network.run", network=self.network.name,
                       layers=len(self.network)):
             for binding in self.network:
                 if trace is not None:
                     trace.read(binding.name, current.size)
                 with obs.span("network.layer", layer=binding.name):
-                    current = self._apply(binding.spec, current)
+                    current = ops.apply_spec(binding.spec, current, self.params)
                 out = binding.output_shape
-                if current.shape != (out.channels, out.height, out.width):
+                if current.shape != lead + (out.channels, out.height, out.width):
                     raise ShapeError(
                         f"{binding.name}: produced {current.shape}, inferred {out}"
                     )
                 if trace is not None:
                     trace.write(binding.name, current.size)
-                    trace.compute(binding.name, binding.total_ops)
+                    trace.compute(binding.name, binding.total_ops * items,
+                                  macs=binding.total_ops // 2 * items)
                 outputs.append(current)
             if trace is not None:
                 obs.mirror_traffic(trace, "sim.network")
         return outputs
 
     def run_batch(self, xs, trace: Optional[TrafficTrace] = None) -> List[np.ndarray]:
-        """Evaluate a batch of inputs one at a time, in order.
+        """Evaluate a batch; outputs equal ``B`` independent :meth:`run` calls.
 
         ``xs`` is a sequence of ``(C, H, W)`` volumes or a stacked
-        ``(B, C, H, W)`` array. Each item runs through :meth:`run`, so
-        every item gets its own ``network.run`` span and the outputs are
-        exactly what ``B`` independent calls would produce — the
-        reference semantics :class:`repro.sim.batched.BatchedNetworkExecutor`
-        and the serving workers are verified against.
+        ``(B, C, H, W)`` array. When :attr:`vectorized` holds, the batch
+        runs as one stacked call per layer (a single ``network.run``
+        span); otherwise each item runs through :meth:`run` in order
+        (one ``network.run`` span per item).
         """
         items: List[np.ndarray] = [np.asarray(x) for x in xs]
+        expected = self.network.input_shape
+        for item in items:
+            if item.shape != (expected.channels, expected.height, expected.width):
+                raise ShapeError(
+                    f"batch item {item.shape} != network input {expected}")
         with obs.span("network.run_batch", network=self.network.name,
                       batch=len(items)):
+            if self.vectorized and items and len(self.network):
+                return list(self.run_all(np.stack(items), trace)[-1])
             return [self.run(x, trace) for x in items]
 
     def classify(self, x: np.ndarray) -> int:

@@ -1,16 +1,29 @@
-"""NumPy implementations of the CNN primitives.
+"""NumPy implementations of the CNN primitives, and the layer dispatch.
 
-All operators take and return ``(channels, height, width)`` float32
-arrays. Convolution is direct (via stride-tricks windowing + tensordot),
-matching the accelerator's arithmetic order closely enough for float32
-comparison with small tolerances; integer inputs reproduce exactly.
+Every operator acts on the trailing ``(channels, height, width)`` axes
+and carries any leading batch axis through, so one call evaluates a
+single volume or a stacked ``(B, C, H, W)`` batch. Convolution is direct
+(via stride-tricks windowing + one contraction), matching the
+accelerator's arithmetic order closely enough for float32 comparison
+with small tolerances; integer inputs reproduce exactly.
+
+Two functions are the only code that maps a layer to an operator call:
+:func:`apply_spec` (one table keyed on spec type, for
+:class:`~repro.nn.network.Network` layers and graph nodes) and
+:func:`run_level` (for the windowed levels the fused executors tile).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Optional, Tuple
+
 import numpy as np
 
+from ..nn.layers import ConvSpec, FCSpec, LayerSpec, LRNSpec, PadSpec, PoolSpec, ReLUSpec
 from ..nn.shapes import ShapeError, conv_output_extent
+from ..nn.stages import Level
+
+Params = Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]
 
 
 def pad2d(x: np.ndarray, pad: int) -> np.ndarray:
@@ -19,15 +32,16 @@ def pad2d(x: np.ndarray, pad: int) -> np.ndarray:
         raise ShapeError(f"padding must be non-negative, got {pad}")
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    return np.pad(x, ((0, 0),) * (x.ndim - 2) + ((pad, pad), (pad, pad)))
 
 
 def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """View of all K x K windows: shape (C, OH, OW, K, K)."""
-    out_h = conv_output_extent(x.shape[1], kernel, stride)
-    out_w = conv_output_extent(x.shape[2], kernel, stride)
-    view = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
-    return view[:, ::stride, ::stride][:, :out_h, :out_w]
+    """View of all K x K windows: shape (..., C, OH, OW, K, K)."""
+    out_h = conv_output_extent(x.shape[-2], kernel, stride)
+    out_w = conv_output_extent(x.shape[-1], kernel, stride)
+    view = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel),
+                                                    axis=(-2, -1))
+    return view[..., :out_h * stride:stride, :out_w * stride:stride, :, :]
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
@@ -36,28 +50,34 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
 
     ``weights`` has shape ``(M, N // groups, K, K)``; ``bias`` shape
     ``(M,)`` or None. Grouped convolution splits input and output channels
-    into ``groups`` independent blocks (AlexNet conv2/4/5).
+    into ``groups`` independent blocks (AlexNet conv2/4/5, depthwise
+    ``groups == N``), evaluated as one matmul stacked over a group axis.
     """
     x = pad2d(x, pad)
     m, n_per_group, kh, kw = weights.shape
     if kh != kw:
         raise ShapeError("only square kernels are supported")
-    if x.shape[0] != n_per_group * groups:
+    if x.shape[-3] != n_per_group * groups:
         raise ShapeError(
-            f"input channels {x.shape[0]} != weights {n_per_group} x groups {groups}"
+            f"input channels {x.shape[-3]} != weights {n_per_group} x groups {groups}"
         )
     if m % groups != 0:
         raise ShapeError(f"output channels {m} not divisible by groups {groups}")
 
-    windows = _windows(x, kh, stride)  # (N, OH, OW, K, K)
-    m_per_group = m // groups
-    outputs = []
-    for g in range(groups):
-        w_g = weights[g * m_per_group:(g + 1) * m_per_group]
-        x_g = windows[g * n_per_group:(g + 1) * n_per_group]
-        # (M/g, N/g, K, K) x (N/g, OH, OW, K, K) -> (M/g, OH, OW)
-        outputs.append(np.tensordot(w_g, x_g, axes=([1, 2, 3], [0, 3, 4])))
-    out = np.concatenate(outputs, axis=0)
+    windows = _windows(x, kh, stride)  # (..., N, OH, OW, K, K)
+    if groups == 1:
+        # (M, N, K, K) x (..., N, OH, OW, K, K) -> (M, ..., OH, OW)
+        out = np.tensordot(weights, windows, axes=([1, 2, 3], [-5, -2, -1]))
+        out = np.moveaxis(out, 0, -3)
+    else:
+        lead, (out_h, out_w) = windows.shape[:-5], windows.shape[-4:-2]
+        # (..., G, N/G, OH, OW, K, K) -> (..., G, N/G*K*K, OH*OW)
+        cols = windows.reshape(lead + (groups, n_per_group, out_h, out_w, kh, kw))
+        cols = np.moveaxis(cols, (-2, -1), (-4, -3)).reshape(
+            lead + (groups, n_per_group * kh * kw, out_h * out_w))
+        # (G, M/G, N/G*K*K) @ (..., G, N/G*K*K, OH*OW) -> (..., M, OH, OW)
+        out = np.matmul(weights.reshape(groups, m // groups, -1), cols)
+        out = out.reshape(lead + (m, out_h, out_w))
     if bias is not None:
         out = out + bias[:, None, None]
     return out.astype(x.dtype, copy=False)
@@ -65,12 +85,13 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Max pooling over K x K windows with stride S."""
-    return _windows(x, kernel, stride).max(axis=(3, 4))
+    return _windows(x, kernel, stride).max(axis=(-2, -1))
 
 
 def avgpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Average pooling over K x K windows with stride S."""
-    return _windows(x, kernel, stride).mean(axis=(3, 4)).astype(x.dtype, copy=False)
+    return (_windows(x, kernel, stride).mean(axis=(-2, -1))
+            .astype(x.dtype, copy=False))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -84,18 +105,70 @@ def lrn(x: np.ndarray, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
     half = size // 2
     squared = np.square(x)
     scale = np.full_like(x, k)
-    channels = x.shape[0]
+    channels = x.shape[-3]
     for c in range(channels):
         lo, hi = max(0, c - half), min(channels, c + half + 1)
-        scale[c] += (alpha / size) * squared[lo:hi].sum(axis=0)
+        scale[..., c, :, :] += (alpha / size) * squared[..., lo:hi, :, :].sum(axis=-3)
     return (x / scale ** beta).astype(x.dtype, copy=False)
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray,
                     bias: "np.ndarray | None" = None) -> np.ndarray:
-    """Dense layer over the flattened input; returns (out, 1, 1)."""
-    flat = x.reshape(-1)
-    out = weights @ flat
+    """Dense layer over the flattened input; returns (..., out, 1, 1)."""
+    flat = x.reshape(x.shape[:-3] + (-1, 1))
+    out = np.matmul(weights, flat)[..., 0]
     if bias is not None:
         out = out + bias
-    return out.reshape(-1, 1, 1).astype(x.dtype, copy=False)
+    return out[..., None, None].astype(x.dtype, copy=False)
+
+
+# -- layer dispatch ---------------------------------------------------------------
+
+def _conv(spec: ConvSpec, x: np.ndarray, params: Params) -> np.ndarray:
+    w, b = params[spec.name]
+    return conv2d(x, w, b, stride=spec.stride, pad=spec.padding, groups=spec.groups)
+
+
+def _pool(spec: PoolSpec, x: np.ndarray, params: Params) -> np.ndarray:
+    pool = maxpool2d if spec.mode == "max" else avgpool2d
+    return pool(x, spec.kernel, spec.stride)
+
+
+#: Spec type -> ``op(spec, x, params)``.
+SPEC_OPS: Dict[type, Callable[[LayerSpec, np.ndarray, Params], np.ndarray]] = {
+    ConvSpec: _conv,
+    PoolSpec: _pool,
+    ReLUSpec: lambda spec, x, params: relu(x),
+    PadSpec: lambda spec, x, params: pad2d(x, spec.pad),
+    LRNSpec: lambda spec, x, params: lrn(x, size=spec.size, alpha=spec.alpha,
+                                         beta=spec.beta, k=spec.k),
+    FCSpec: lambda spec, x, params: fully_connected(x, *params[spec.name]),
+}
+
+
+def apply_spec(spec: LayerSpec, x: np.ndarray, params: Params) -> np.ndarray:
+    """Evaluate one layer (or non-join graph node) over ``x``; weighted
+    layers look up ``params[spec.name]``."""
+    op = SPEC_OPS.get(type(spec))
+    if op is None:
+        raise ShapeError(f"no operator for {spec!r}")
+    return op(spec, x, params)
+
+
+def run_level(level: Level, x: np.ndarray, params: Params,
+              pad: Optional[int] = None) -> np.ndarray:
+    """Evaluate one windowed level (pad + conv/pool + optional ReLU).
+
+    ``pad`` defaults to the level's own padding; the pyramid executors
+    pass 0 because their windows are already in padded coordinates.
+    """
+    pad = level.pad if pad is None else pad
+    if level.is_conv:
+        if params is None or level.name not in params:
+            raise KeyError(f"missing weights for conv level {level.name}")
+        w, b = params[level.name]
+        out = conv2d(x, w, b, stride=level.stride, pad=pad, groups=level.groups)
+    else:
+        pool = maxpool2d if level.pool_mode == "max" else avgpool2d
+        out = pool(pad2d(x, pad), level.kernel, level.stride)
+    return relu(out) if level.has_relu else out

@@ -146,16 +146,7 @@ class RecomputeExecutor:
             else:
                 window = self._frame(level, current, current_box,
                                      w_r0, w_r1, w_c0, w_c1)
-            if level.is_conv:
-                w, b = self.params[level.name]
-                block = ops.conv2d(window, w, b, stride=level.stride,
-                                   groups=level.groups)
-            elif level.pool_mode == "max":
-                block = ops.maxpool2d(window, level.kernel, level.stride)
-            else:
-                block = ops.avgpool2d(window, level.kernel, level.stride)
-            if level.has_relu:
-                block = ops.relu(block)
+            block = ops.run_level(level, window, self.params, pad=0)
             expect = (level.out_channels, r1 - r0, c1 - c0)
             if block.shape != expect:
                 raise ShapeError(f"{level.name}: block {block.shape} != {expect}")

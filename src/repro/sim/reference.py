@@ -14,27 +14,9 @@ import numpy as np
 
 from .. import obs
 from ..nn.stages import Level
-from . import ops
+from .ops import run_level
 from .trace import TrafficTrace
 from .weights import make_level_weights
-
-
-def run_level(level: Level, x: np.ndarray,
-              params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]) -> np.ndarray:
-    """Evaluate one windowed level (pad + conv/pool + optional ReLU)."""
-    if level.is_conv:
-        if params is None or level.name not in params:
-            raise KeyError(f"missing weights for conv level {level.name}")
-        w, b = params[level.name]
-        out = ops.conv2d(x, w, b, stride=level.stride, pad=level.pad, groups=level.groups)
-    else:
-        if level.pool_mode == "max":
-            out = ops.maxpool2d(ops.pad2d(x, level.pad), level.kernel, level.stride)
-        else:
-            out = ops.avgpool2d(ops.pad2d(x, level.pad), level.kernel, level.stride)
-    if level.has_relu:
-        out = ops.relu(out)
-    return out
 
 
 class ReferenceExecutor:

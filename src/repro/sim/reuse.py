@@ -18,6 +18,7 @@ the paper's accelerator would not have on chip.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,27 @@ from ..errors import SimFaultError
 class ReuseError(SimFaultError):
     """A read touched data outside the resident BL/BT windows (a
     :class:`~repro.errors.SimFaultError`, hence still a ``RuntimeError``)."""
+
+
+@dataclass(frozen=True)
+class BufferSpec:
+    """The fixed geometry of one map's BL/BT buffers (see
+    :class:`MapReuseState`): known before any buffer is allocated."""
+
+    name: str
+    channels: int
+    hp: int
+    wp: int
+    o_v: int
+    o_h: int
+    max_bl_rows: int
+
+    @property
+    def buffer_elements(self) -> int:
+        return self.channels * (self.o_v * self.wp + self.max_bl_rows * self.o_h)
+
+    def allocate(self, dtype) -> "MapReuseState":
+        return MapReuseState(**asdict(self), dtype=dtype)
 
 
 class MapReuseState:

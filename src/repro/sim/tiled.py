@@ -22,7 +22,6 @@ import numpy as np
 from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from . import ops
-from .reference import run_level
 from .trace import TrafficTrace
 from .weights import make_level_weights
 
@@ -116,7 +115,7 @@ class TiledBaselineExecutor:
         if level.has_relu:
             conv_out = ops.relu(conv_out)
         if pool is not None:
-            result = run_level(pool, conv_out, self.params)
+            result = ops.run_level(pool, conv_out, self.params)
             trace.compute(pool.name, pool.total_ops)
         else:
             result = conv_out

@@ -73,6 +73,28 @@ class TestExecution:
         assert plan.last_run is not None
         assert plan.last_run.num_items == len(inputs)
 
+    def test_each_thread_sees_its_own_last_run(self, plan, inputs):
+        """Two threads execute batches of different sizes on one plan,
+        then both read ``last_run``: each must see its own batch."""
+        import threading
+
+        barrier = threading.Barrier(2, timeout=60)
+        seen = {}
+
+        def execute(size):
+            plan.execute(inputs[:size])
+            barrier.wait()  # both executes are done before either reads
+            seen[size] = plan.last_run.num_items
+
+        threads = [threading.Thread(target=execute, args=(size,))
+                   for size in (1, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert seen == {1: 1, 3: 3}
+
     def test_stage_report_covers_every_device(self, plan, inputs):
         plan.execute(inputs[:2])
         report = plan.last_stage_report

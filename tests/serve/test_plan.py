@@ -20,6 +20,14 @@ from repro.serve import (
 )
 
 
+def _execute_counting_runs(plan, xs):
+    """A plan's outputs and its executor's ``network.run`` span count:
+    one for a stacked batch, one per item on the per-item path."""
+    with capture() as registry:
+        outs = plan.execute(xs)
+    return outs, [s.name for s in registry.spans].count("network.run")
+
+
 class TestPlanKey:
     def test_same_knobs_same_key(self, net):
         assert make_plan_key(net) == make_plan_key(toynet())
@@ -91,17 +99,25 @@ class TestCompilePlan:
             ConvSpec("c2", kernel=3, stride=1, out_channels=4, padding=1),
         ])
         plan = compile_plan(network)
-        assert plan.batched is None  # LRN breaks exact integer arithmetic
         rng = np.random.default_rng(5)
         xs = [np.round(rng.uniform(-4.0, 4.0, size=(3, 8, 8)))
               for _ in range(3)]
-        for x, out in zip(xs, plan.execute(xs)):
+        outs, runs = _execute_counting_runs(plan, xs)
+        assert runs == 3  # LRN breaks exact integer arithmetic: per item
+        for x, out in zip(xs, outs):
             assert np.array_equal(out, plan.executor.run(x))
+
+    def test_int_plan_serves_via_one_stacked_call(self, net, inputs, golden):
+        plan = compile_plan(net)
+        outs, runs = _execute_counting_runs(plan, inputs[:3])
+        assert runs == 1
+        for out, ref in zip(outs, golden):
+            assert np.array_equal(out, ref)
 
     def test_float_precision_plan_serves_via_per_item_loop(self, net, inputs):
         plan = compile_plan(net, precision="float")
-        assert plan.batched is None
-        outs = plan.execute(inputs[:3])
+        outs, runs = _execute_counting_runs(plan, inputs[:3])
+        assert runs == 3
         refs = [plan.executor.run(x) for x in inputs[:3]]
         for out, ref in zip(outs, refs):
             assert np.array_equal(out, ref)

@@ -30,6 +30,50 @@ def naive_conv2d(x, w, b, stride, pad, groups=1):
     return out
 
 
+def naive_pool(x, k, stride, reduce):
+    """Window-by-window pooling for cross-checking."""
+    n, h, width = x.shape
+    oh = (h - k) // stride + 1
+    ow = (width - k) // stride + 1
+    out = np.zeros((n, oh, ow), dtype=x.dtype)
+    for ni in range(n):
+        for r in range(oh):
+            for c in range(ow):
+                out[ni, r, c] = reduce(x[ni, r * stride:r * stride + k,
+                                         c * stride:c * stride + k])
+    return out
+
+
+def naive_lrn(x, size=5, alpha=1e-4, beta=0.75, k=2.0):
+    out = np.zeros_like(x)
+    n = x.shape[0]
+    for ni in range(n):
+        lo, hi = max(0, ni - size // 2), min(n, ni + size // 2 + 1)
+        total = sum(x[j] ** 2 for j in range(lo, hi))
+        out[ni] = x[ni] / (k + alpha / size * total) ** beta
+    return out
+
+
+def naive_fully_connected(x, w, b):
+    flat = x.reshape(-1)
+    out = [sum(w[m, i] * flat[i] for i in range(flat.size)) + b[m]
+           for m in range(w.shape[0])]
+    return np.array(out, dtype=x.dtype).reshape(-1, 1, 1)
+
+
+def naive_pad(x, pad):
+    n, h, width = x.shape
+    out = np.zeros((n, h + 2 * pad, width + 2 * pad), dtype=x.dtype)
+    out[:, pad:pad + h, pad:pad + width] = x
+    return out
+
+
+def integer_valued(rng, shape):
+    """Integer-valued float64 data, on which every reduction is exact: a
+    batch item must then equal the single-image call bit for bit."""
+    return np.round(rng.uniform(-4.0, 4.0, size=shape))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
@@ -51,12 +95,19 @@ class TestConv2d:
         np.testing.assert_allclose(got, naive_conv2d(x, w, b, 2, 2), rtol=1e-10)
 
     def test_groups(self, rng):
-        x = rng.standard_normal((4, 7, 7)).astype(np.float64)
-        w = rng.standard_normal((6, 2, 3, 3)).astype(np.float64)
-        b = rng.standard_normal(6).astype(np.float64)
-        got = ops.conv2d(x, w, b, stride=1, pad=0, groups=2)
-        np.testing.assert_allclose(got, naive_conv2d(x, w, b, 1, 0, groups=2),
-                                   rtol=1e-10)
+        for channels, m, groups, stride, pad, extent in [
+                (4, 6, 2, 1, 0, 7),   # two groups (AlexNet conv2/4/5)
+                (4, 4, 4, 1, 1, 9),   # depthwise: groups == channels
+                (3, 6, 3, 1, 0, 9),   # channel multiplier: M = 2N, groups = N
+                (4, 6, 2, 2, 1, 9),   # strided grouped
+                (6, 6, 6, 2, 1, 9)]:  # strided depthwise
+            x = rng.standard_normal((channels, extent, extent)).astype(np.float64)
+            w = rng.standard_normal((m, channels // groups, 3, 3)).astype(np.float64)
+            b = rng.standard_normal(m).astype(np.float64)
+            got = ops.conv2d(x, w, b, stride=stride, pad=pad, groups=groups)
+            np.testing.assert_allclose(
+                got, naive_conv2d(x, w, b, stride, pad, groups=groups),
+                rtol=1e-10)
 
     def test_no_bias(self, rng):
         x = rng.standard_normal((1, 5, 5)).astype(np.float64)
@@ -91,6 +142,44 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         with pytest.raises(ShapeError):
             ops.conv2d(x, w, None, groups=2)  # 3 % 2 != 0
+
+
+_RNG = np.random.default_rng(7)
+_CONV_W, _CONV_B = integer_valued(_RNG, (4, 3, 3, 3)), integer_valued(_RNG, 4)
+_GROUP_W, _GROUP_B = integer_valued(_RNG, (4, 1, 3, 3)), integer_valued(_RNG, 4)
+_FC_W, _FC_B = integer_valued(_RNG, (5, 3 * 4 * 4)), integer_valued(_RNG, 5)
+
+#: name -> (operator on (..., C, H, W), naive single-image loop, C x H x W)
+BATCH_CASES = {
+    "conv2d": (lambda x: ops.conv2d(x, _CONV_W, _CONV_B, stride=2, pad=1),
+               lambda x: naive_conv2d(x, _CONV_W, _CONV_B, 2, 1), (3, 7, 7)),
+    "conv2d-depthwise": (
+        lambda x: ops.conv2d(x, _GROUP_W, _GROUP_B, pad=1, groups=4),
+        lambda x: naive_conv2d(x, _GROUP_W, _GROUP_B, 1, 1, groups=4),
+        (4, 6, 6)),
+    "maxpool2d": (lambda x: ops.maxpool2d(x, 3, 2),
+                  lambda x: naive_pool(x, 3, 2, np.max), (3, 7, 7)),
+    "avgpool2d": (lambda x: ops.avgpool2d(x, 2, 2),
+                  lambda x: naive_pool(x, 2, 2, np.mean), (3, 6, 6)),
+    "relu": (ops.relu, lambda x: np.where(x > 0, x, 0.0), (3, 5, 5)),
+    "pad2d": (lambda x: ops.pad2d(x, 2), lambda x: naive_pad(x, 2), (3, 4, 5)),
+    "lrn": (ops.lrn, naive_lrn, (8, 3, 3)),
+    "fully_connected": (lambda x: ops.fully_connected(x, _FC_W, _FC_B),
+                        lambda x: naive_fully_connected(x, _FC_W, _FC_B),
+                        (3, 4, 4)),
+}
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("name", list(BATCH_CASES))
+    def test_items_match_single_image_and_naive_loop(self, rng, name):
+        op, naive, shape = BATCH_CASES[name]
+        batch = integer_valued(rng, (3,) + shape)
+        got = op(batch)
+        assert got.shape[0] == 3
+        for x, item in zip(batch, got):
+            np.testing.assert_array_equal(item, op(x))
+            np.testing.assert_allclose(item, naive(x), rtol=1e-12)
 
 
 class TestPooling:

@@ -10,8 +10,7 @@ import pytest
 
 from repro import extract_levels, vggnet_e
 from repro.analysis import render_table
-from repro.hw import optimize_fused
-from repro.hw.memory_sim import fused_design_stages, simulate_with_channel
+from repro.hw import optimize_fused, simulate_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +20,9 @@ def design():
 
 
 def sweep(design, bandwidths):
-    stages = fused_design_stages(design)
-    return [(bw, simulate_with_channel(stages, design.num_pyramids, bw))
+    stages = design.stage_timings()
+    return [(bw, simulate_pipeline(stages, design.num_pyramids,
+                                   words_per_cycle=bw))
             for bw in bandwidths]
 
 

@@ -29,7 +29,6 @@ from repro.dist import (
     DEFAULT_WEIGHT_ITEMS,
     balance_stages,
     plan_atoms,
-    simulate_microbatches,
     split_device,
 )
 from repro.faults import FaultPlan, RetryPolicy
@@ -53,10 +52,7 @@ def _sweep(atoms):
         fleet = split_device(DEFAULT_DEVICE, count)
         est = balance_stages(atoms, fleet, DEFAULT_LINK,
                              weight_items=DEFAULT_WEIGHT_ITEMS)
-        run = simulate_microbatches(
-            [s.stage_cycles for s in est.stages],
-            [s.link_cycles for s in est.stages],
-            num_items=max(DEFAULT_WEIGHT_ITEMS, 2))
+        run = est.simulate(max(DEFAULT_WEIGHT_ITEMS, 2))
         rows[str(count)] = {
             "boundaries": list(est.boundaries),
             "interval_cycles": est.interval_cycles,

@@ -37,7 +37,6 @@ from .graph import (
     check_graph_plan_dict,
 )
 from .hazards import (
-    check_channel_schedule,
     check_fused_schedule,
     check_pipeline_schedule,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CheckReport",
     "Diagnostic",
     "Severity",
-    "check_channel_schedule",
     "check_compiled_plan",
     "check_concurrency_paths",
     "check_fused_schedule",

@@ -5,10 +5,9 @@ module reads it, a stage finishes one pyramid before accepting the
 next, one DRAM channel carries all the traffic it is billed for. The
 detectors here audit those claims on the finished schedule objects —
 :class:`~repro.core.schedule.FusedSchedule` (the Section IV-B
-calcparams form), :class:`~repro.hw.pipeline.PipelineSchedule` (the
-discrete-event Figure 6 form), and
-:class:`~repro.hw.memory_sim.ChannelSchedule` (the shared-channel
-form) — without re-running any simulation.
+calcparams form) and :class:`~repro.hw.pipeline.PipelineSchedule` (the
+discrete-event Figure 6 form, with or without bounded queues and a
+shared channel) — without re-running any simulation.
 
 Two hazard flavours recur:
 
@@ -19,7 +18,7 @@ Two hazard flavours recur:
 * **overlap conflict** (RC302/RC304) — two writers own the same
   resource at once: a fresh DRAM load landing on live reuse columns
   (double-buffer clobber), a stage serving two pyramids
-  simultaneously, or a channel billed busier than the makespan.
+  simultaneously, or two transfers holding one channel at once.
 
 On anything the repo's own simulators produce these detectors are
 provably silent (the tests sweep the zoo to assert it); they exist to
@@ -32,7 +31,6 @@ from __future__ import annotations
 from typing import List
 
 from ..core.schedule import FusedSchedule
-from ..hw.memory_sim import ChannelSchedule
 from ..hw.pipeline import PipelineSchedule
 from ..nn.shapes import ShapeError
 from .diagnostics import Diagnostic, diag
@@ -142,81 +140,71 @@ def _check_coverage(schedule: FusedSchedule, site: str) -> List[Diagnostic]:
 
 
 def check_pipeline_schedule(schedule: PipelineSchedule) -> List[Diagnostic]:
-    """Audit a discrete-event pipeline schedule's finish-time matrix.
+    """Audit a pipeline schedule's begin/finish matrices and tallies.
 
-    Three invariants, straight from the dependency structure (stage ``s``
-    starts item ``i`` when stage ``s-1`` finished item ``i`` and stage
-    ``s`` finished item ``i-1``):
-
-    * ``finish[i][s] >= finish[i][s-1] + cycles[s]`` — else the stage
-      read its input before the producer wrote it (RC301);
-    * ``finish[i][s] >= finish[i-1][s] + cycles[s]`` — else the stage
-      held two items at once; there is no internal buffering (RC302);
-    * the makespan equals the last completion (RC303).
-
-    Fault-injected runs only *delay* completions, so the inequalities
-    hold for every schedule ``simulate_pipeline`` can produce.
+    Stage ``s`` takes item ``i`` once stage ``s-1`` finished it and
+    stage ``s`` finished item ``i-1``, and serves it for at least its
+    fault-free cycles ``c[s]``. A stage that begins before its input
+    exists or finishes under ``c[s]`` after it began (or after its input
+    was ready) read before the write (RC301); one that begins before, or
+    finishes within ``c[s]`` of, its previous item held two items at
+    once (RC302). Shape, negative tallies, a makespan other than the
+    last completion or below the compute bound are RC303; channel busy
+    beyond the makespan or a makespan below the bandwidth bound are
+    RC304; stalls without retries or stall cycles
+    without stalls are RC306 (warning). Faults and full queues only
+    *delay* work, so every schedule ``simulate_pipeline`` produces
+    passes.
     """
     out: List[Diagnostic] = []
-    site = "+".join(stage.name for stage in schedule.stages)
-    cycles = [stage.cycles for stage in schedule.stages]
-    finish = schedule.stage_finish
-    if len(finish) != schedule.num_items:
-        out.append(diag("RC303", f"{len(finish)} finish rows for "
-                        f"{schedule.num_items} items", site=site))
+    stages = schedule.stages
+    site = "+".join(stage.name for stage in stages)
+    for name in ("makespan", "channel_busy", "stalls", "retries",
+                 "stall_cycles", "blocked_cycles"):
+        if getattr(schedule, name) < 0:
+            out.append(diag("RC303", f"negative {name}: "
+                            f"{getattr(schedule, name)}", site=site))
+    begin, finish = schedule.stage_begin, schedule.stage_finish
+    if len(begin) != schedule.num_items or len(finish) != schedule.num_items:
+        out.append(diag("RC303", f"{len(begin)} begin and {len(finish)} "
+                        f"finish rows for {schedule.num_items} items",
+                        site=site))
+    if out:
         return out
+    service = schedule.service
     peak = 0
-    for i, row in enumerate(finish):
-        if len(row) != len(cycles):
-            out.append(diag("RC303", f"item {i} has {len(row)} stage "
-                            f"finishes for {len(cycles)} stages", site=site))
-            return out
-        for s, done in enumerate(row):
+    for i, (starts, row) in enumerate(zip(begin, finish)):
+        if len(starts) != len(stages) or len(row) != len(stages):
+            return out + [diag("RC303", f"item {i} has {len(starts)} stage "
+                               f"begins and {len(row)} finishes for "
+                               f"{len(stages)} stages", site=site)]
+        for s, (start, done) in enumerate(zip(starts, row)):
+            name = stages[s].name
             ready = row[s - 1] if s > 0 else 0
-            if done < ready + cycles[s]:
+            if start < ready or done < start + service[s]:
                 out.append(diag(
-                    "RC301", f"stage {schedule.stages[s].name!r} finishes "
-                    f"item {i} at {done}, before its input (ready {ready}) "
-                    f"plus {cycles[s]} busy cycles allow",
-                    site=site, item=i, stage=schedule.stages[s].name,
+                    "RC301", f"stage {name!r} serves item {i} over "
+                    f"[{start}, {done}], before its input (ready {ready}) "
+                    f"plus {service[s]} busy cycles allow",
+                    site=site, item=i, stage=name, begin=start,
                     finish=done, ready=ready))
-            if i > 0 and done < finish[i - 1][s] + cycles[s]:
+            if i > 0 and (start < finish[i - 1][s]
+                          or done < finish[i - 1][s] + service[s]):
                 out.append(diag(
-                    "RC302", f"stage {schedule.stages[s].name!r} holds "
-                    f"items {i - 1} and {i} concurrently (finishes {done} "
-                    f"< {finish[i - 1][s]} + {cycles[s]})",
-                    site=site, item=i, stage=schedule.stages[s].name))
+                    "RC302", f"stage {name!r} holds items {i - 1} and {i} "
+                    f"concurrently (item {i} over [{start}, {done}], item "
+                    f"{i - 1} finished {finish[i - 1][s]})",
+                    site=site, item=i, stage=name))
             peak = max(peak, done)
     if schedule.makespan != peak:
         out.append(diag("RC303", f"makespan {schedule.makespan} != last "
                         f"completion {peak}", site=site,
                         makespan=schedule.makespan, last=peak))
-    return out
-
-
-def check_channel_schedule(schedule: ChannelSchedule,
-                           site: str = "") -> List[Diagnostic]:
-    """Audit a shared-channel schedule's accounting.
-
-    The channel serves one transfer at a time, so ``channel_busy`` can
-    never exceed the makespan (RC304); the makespan can never beat the
-    total-traffic bandwidth bound (RC304) nor the compute bottleneck
-    bound (RC303) — both remain true lower bounds under injected faults,
-    which only slow the run down. Stall/retry tallies must be mutually
-    consistent (RC306, warning).
-    """
-    out: List[Diagnostic] = []
-    fields = {"makespan": schedule.makespan,
-              "channel_busy": schedule.channel_busy,
-              "compute_bound": schedule.compute_bound,
-              "memory_bound": schedule.memory_bound,
-              "stalls": schedule.stalls, "retries": schedule.retries,
-              "stall_cycles": schedule.stall_cycles}
-    for name, value in fields.items():
-        if value < 0:
-            out.append(diag("RC303", f"negative {name}: {value}", site=site))
-    if any(d.is_error for d in out):
-        return out
+    if schedule.makespan < schedule.compute_bound:
+        out.append(diag(
+            "RC303", f"makespan {schedule.makespan} beats the compute "
+            f"bound {schedule.compute_bound}", site=site,
+            makespan=schedule.makespan, compute_bound=schedule.compute_bound))
     if schedule.channel_busy > schedule.makespan:
         out.append(diag(
             "RC304", f"channel busy {schedule.channel_busy} cycles in a "
@@ -229,11 +217,6 @@ def check_channel_schedule(schedule: ChannelSchedule,
             f"bound {schedule.memory_bound}: the channel moved more words "
             "per cycle than it has", site=site,
             makespan=schedule.makespan, memory_bound=schedule.memory_bound))
-    if schedule.makespan < schedule.compute_bound:
-        out.append(diag(
-            "RC303", f"makespan {schedule.makespan} beats the compute "
-            f"bound {schedule.compute_bound}", site=site,
-            makespan=schedule.makespan, compute_bound=schedule.compute_bound))
     if schedule.stall_cycles > 0 and schedule.stalls == 0:
         out.append(diag("RC306", f"{schedule.stall_cycles} stall cycles "
                         "billed with zero stalls recorded", site=site))

@@ -237,8 +237,7 @@ def cmd_faultsim(args) -> None:
     import numpy as np
 
     from .faults import FaultPlan, RetryPolicy
-    from .hw import (fused_design_stages, optimize_fused, simulate_pipeline,
-                     simulate_with_channel)
+    from .hw import optimize_fused, simulate_pipeline
     from .sim import FusedExecutor, ReferenceExecutor, TrafficTrace, make_input
 
     plan = faults_mod.get_active_plan()
@@ -264,14 +263,13 @@ def cmd_faultsim(args) -> None:
 
     design = optimize_fused(extract_levels(network.prefix(args.convs)),
                             dsp_budget=args.dsp)
-    clean = simulate_with_channel(fused_design_stages(design),
-                                  design.num_pyramids,
-                                  words_per_cycle=args.words_per_cycle)
-    faulty = simulate_with_channel(fused_design_stages(design),
-                                   design.num_pyramids,
-                                   words_per_cycle=args.words_per_cycle,
-                                   faults=injector, retry=retry)
-    schedule = simulate_pipeline(design.stage_timings(), design.num_pyramids,
+    stages = design.stage_timings()
+    clean = simulate_pipeline(stages, design.num_pyramids,
+                              words_per_cycle=args.words_per_cycle)
+    faulty = simulate_pipeline(stages, design.num_pyramids,
+                               words_per_cycle=args.words_per_cycle,
+                               faults=injector, retry=retry)
+    schedule = simulate_pipeline(stages, design.num_pyramids,
                                  name=f"{network.name}[:conv{args.convs}]",
                                  faults=injector)
 
@@ -573,7 +571,6 @@ def cmd_pipeline(args) -> None:
     """
     import json
 
-    from .dist import simulate_microbatches
     from .hw.device import DEFAULT_DEVICE, split_device
     from .hw.link import LinkSpec
     from .serve import compile_plan
@@ -599,16 +596,14 @@ def cmd_pipeline(args) -> None:
         print(f"  {s.index:>5d} {s.device.name:16s} {groups:>6s} "
               f"{s.compute_cycles:>12,} {s.dram_cycles:>12,} "
               f"{s.link_cycles:>10,} {s.cost:>12,} {util:>6.2f}{bound}")
-    run = simulate_microbatches([s.stage_cycles for s in est.stages],
-                                [s.link_cycles for s in est.stages],
-                                num_items=args.items)
+    run = est.simulate(args.items)
     print(f"  steady interval:  {est.interval_cycles:>14,} cycles "
           f"({est.items_per_s:,.1f} items/s)")
     print(f"  per-item latency: {est.latency_cycles:>14,} cycles")
     print(f"  link traffic:     {est.link_bytes:>14,} B/item")
     print(f"  fill/drain over {args.items} items: "
           f"{run.fill_drain_cycles:,} cycles "
-          f"(bottleneck stage {run.bottleneck_stage})")
+          f"(bottleneck stage {run.bottleneck.name})")
     print(f"  throughput/DSP:   {est.throughput_per_dsp:.6g} items/s/DSP "
           f"({est.total_dsp:,} DSPs total)")
     if args.json:

@@ -3,8 +3,12 @@
 The paper built this as a Torch extension: read a network description,
 enumerate every fusion partition, and report the storage/transfer (or
 recompute/transfer) trade-off of each. This module is the same tool over
-the :mod:`repro.nn` IR. Even for VGGNet-E the full space is explored in
-well under a second.
+the :mod:`repro.nn` IR.
+
+Every partition is scored, so the cost doubles with each fusion unit. On
+a 2-vCPU VM the paper's 5-conv VGGNet-E space (64 partitions) takes
+about 5-10 ms and 10 convs (4,096 partitions) about 0.85 s; full
+VGGNet-E (2^20 partitions) takes minutes, so bound it with ``budget``.
 """
 
 from __future__ import annotations

@@ -9,15 +9,14 @@ DRAM channel — connected by :class:`~repro.hw.link.LinkSpec` links that
 stream the inter-group activation footprints the partition analysis
 already computes.
 
-Three layers:
+Two layers:
 
 * :mod:`~repro.dist.stage` — group *atoms* (uniform over linear and
   graph plans), the contiguous stage partitioner, and the stage/link
   cost model (compute vs private-DRAM vs link, steady-state interval =
-  max over stages of stage cycles + link transfer);
-* :mod:`~repro.dist.pipeline` — the micro-batch pipeline scheduler:
-  bounded per-stage queues with backpressure, fill/drain accounting,
-  per-stage utilization;
+  max over stages of stage cycles + link transfer), and
+  :meth:`PipelineEstimate.simulate`, a bounded-queue micro-batch run of
+  the priced stages on :func:`repro.hw.pipeline.simulate_pipeline`;
 * :mod:`~repro.dist.plan` — :class:`PipelinePlan`, the ``"pipeline"``
   plan family: a sharded, *bit-identical* executable the serving stack
   (``InferenceService``/``WorkerPool``/``PlanCache``) treats like any
@@ -31,7 +30,6 @@ from ..hw.device import (
     split_device,
 )
 from ..hw.link import DEFAULT_LINK, LinkSpec
-from .pipeline import MicroBatchRun, simulate_microbatches
 from .plan import (
     DEFAULT_WEIGHT_ITEMS,
     PipelinePlan,
@@ -58,7 +56,6 @@ __all__ = [
     "fleet_fingerprint",
     "GroupAtom",
     "LinkSpec",
-    "MicroBatchRun",
     "PipelineEstimate",
     "PipelinePlan",
     "StageEstimate",
@@ -70,6 +67,5 @@ __all__ = [
     "plan_atoms",
     "price_stages",
     "replicate_device",
-    "simulate_microbatches",
     "split_device",
 ]

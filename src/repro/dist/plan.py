@@ -17,11 +17,11 @@ Two things are deliberately decoupled:
   :meth:`~repro.graph.executor.GraphExecutor.run_atom` runs — so outputs
   are **bit-identical** to direct execution, including under fault plans
   (faults live inside the unchanged fused executors);
-* **timing** is simulated in virtual cycles: every ``execute`` call also
-  runs the micro-batch scheduler over the frozen stage costs and records
-  the result (``last_run``) plus wall-clock per-stage offsets
-  (``last_stage_report``) for the per-device trace lanes, both per
-  calling thread.
+* **timing** is priced in virtual cycles by the frozen stage costs
+  (:meth:`PipelineEstimate.simulate` runs a micro-batch through them);
+  every ``execute`` call records wall-clock per-stage offsets
+  (``last_stage_report``, per calling thread) for the per-device trace
+  lanes.
 
 The plan key carries ``family="pipeline"`` and a variant tagged with the
 device count and fleet fingerprint (``pipe:d<K>:<fp>``), so a sharded
@@ -46,7 +46,6 @@ from ..hw.link import DEFAULT_LINK, LinkSpec
 from ..nn.layers import ConvSpec, PoolSpec
 from ..nn.stages import extract_levels, independent_units
 from ..sim import ops
-from .pipeline import MicroBatchRun, simulate_microbatches
 from .stage import PipelineEstimate, balance_stages, plan_atoms
 
 
@@ -139,21 +138,17 @@ class PipelinePlan:
     """A base plan sharded across a device fleet."""
 
     def __init__(self, base, devices: Sequence[DeviceSpec], link: LinkSpec,
-                 estimate: PipelineEstimate, queue_depth: int = 2,
+                 estimate: PipelineEstimate,
                  weight_items: int = DEFAULT_WEIGHT_ITEMS,
                  compile_s: float = 0.0):
         if base.key.family not in ("linear", "graph"):
             raise ConfigError(
                 f"cannot shard a {base.key.family!r} plan",
                 family=base.key.family)
-        if queue_depth < 1:
-            raise ConfigError("queue depth must be >= 1",
-                              queue_depth=queue_depth)
         self.base = base
         self.devices = tuple(devices)
         self.link = link
         self.estimate = estimate
-        self.queue_depth = queue_depth
         self.weight_items = weight_items
         self.compile_s = compile_s
         self.key = pipeline_plan_key(base.key, self.devices, link,
@@ -202,12 +197,6 @@ class PipelinePlan:
         return self.base.byte_size
 
     @property
-    def last_run(self) -> Optional[MicroBatchRun]:
-        """The micro-batch scheduler's verdict for this thread's last
-        ``execute`` call."""
-        return getattr(self._tls, "run", None)
-
-    @property
     def last_stage_report(self) -> Optional[List[Dict[str, Any]]]:
         """Per-stage wall-clock offsets of this thread's last ``execute``
         call: ``[{stage, device, start_s, end_s}, ...]`` measured on the
@@ -228,9 +217,8 @@ class PipelinePlan:
         """Run a batch stage by stage; bit-identical to the base plan.
 
         Each item flows through every stage in order (the numerics are
-        sequential; the pipeline overlap is *simulated*), and the
-        micro-batch scheduler's verdict for this batch size lands in
-        ``last_run``/``last_stage_report``.
+        sequential; the pipeline overlap is priced, not run), and the
+        per-stage wall-clock offsets land in ``last_stage_report``.
         """
         items = [np.asarray(x) for x in xs]
         report: List[Dict[str, Any]] = []
@@ -263,10 +251,6 @@ class PipelinePlan:
                 })
                 offset += stage_wall[idx]
             self._tls.report = report
-            self._tls.run = simulate_microbatches(
-                [s.stage_cycles for s in self.estimate.stages],
-                [s.link_cycles for s in self.estimate.stages],
-                num_items=len(items), queue_depth=self.queue_depth)
             obs.add_counter("dist.items_executed", len(items))
             obs.add_counter("dist.link_bytes",
                             self.estimate.link_bytes * len(items))
@@ -295,7 +279,6 @@ class PipelinePlan:
             "devices": [d.to_dict() for d in self.devices],
             "link": self.link.to_dict(),
             "boundaries": list(self.estimate.boundaries),
-            "queue_depth": self.queue_depth,
             "weight_items": self.weight_items,
             "estimate": self.estimate.to_dict(),
             "seed": self.seed,
@@ -316,14 +299,12 @@ class PipelinePlan:
                                   boundaries=boundaries,
                                   weight_items=weight_items)
         return cls(base=base, devices=devices, link=link, estimate=estimate,
-                   queue_depth=int(data.get("queue_depth", 2)),
                    weight_items=weight_items)
 
 
 def compile_pipeline_plan(network=None, devices: Sequence[DeviceSpec] = (),
                           link: LinkSpec = DEFAULT_LINK,
                           boundaries: Optional[Sequence[int]] = None,
-                          queue_depth: int = 2,
                           weight_items: int = DEFAULT_WEIGHT_ITEMS,
                           base=None, validate: bool = True,
                           **compile_kwargs) -> PipelinePlan:
@@ -356,7 +337,7 @@ def compile_pipeline_plan(network=None, devices: Sequence[DeviceSpec] = (),
                                   boundaries=boundaries,
                                   weight_items=weight_items)
     plan = PipelinePlan(base=base, devices=devices, link=link,
-                        estimate=estimate, queue_depth=queue_depth,
+                        estimate=estimate,
                         weight_items=weight_items,
                         compile_s=time.perf_counter() - t0)
     if validate:

@@ -37,6 +37,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ConfigError
 from ..hw.device import DeviceSpec, WORDS_PER_BRAM18
 from ..hw.link import LinkSpec
+from ..hw.pipeline import PipelineSchedule, StageTiming, simulate_pipeline
 from ..nn.layers import ConvSpec, FCSpec
 from ..nn.shapes import BYTES_PER_WORD
 from ..core.fusion import units_to_levels
@@ -162,6 +163,23 @@ class PipelineEstimate:
     def stage_utilization(self) -> Tuple[float, ...]:
         interval = self.interval_cycles
         return tuple(s.cost / interval for s in self.stages)
+
+    def simulate(self, num_items: int) -> PipelineSchedule:
+        """Stream ``num_items`` micro-batch items through the stages,
+        each input queue double-buffered (two items).
+
+        A stage serves an item for its stage cycles plus its link-out
+        cycles (it takes no new item until its output has streamed to
+        the next device; the last stage has none), so the simulated
+        steady interval is exactly :attr:`interval_cycles`.
+        """
+        if num_items < 1:
+            raise ConfigError("need at least one item", num_items=num_items)
+        last = len(self.stages) - 1
+        stages = [StageTiming(str(s.index), max(
+            s.stage_cycles + (s.link_cycles if i < last else 0), 1))
+            for i, s in enumerate(self.stages)]
+        return simulate_pipeline(stages, num_items, queue_depth=2)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -4,7 +4,6 @@ from .bandwidth import (
     EffectivePerformance,
     SweepPoint,
     bandwidth_sweep,
-    effective_words_per_cycle,
     memory_bound_threshold,
     performance_under_bandwidth,
     required_bandwidth_bytes_per_sec,
@@ -33,7 +32,6 @@ from .device import (
 from .link import DEFAULT_LINK, LinkSpec
 from .energy import EnergyBreakdown, EnergyModel, estimate_energy
 from .fused_accel import FusedDesign, ModuleConfig, module_cycles, optimize_fused
-from .memory_sim import ChannelSchedule, ComputeStage, MemStage, fused_design_stages, simulate_with_channel
 from .multi import PartitionDesign, PoolEngine, design_partition
 from .hls import generate_baseline, generate_compute_module, generate_fused
 from .precision import FP16, FP32, INT16, Precision, equivalent_dsp_budget, precision_summary, scale_bytes
@@ -47,15 +45,12 @@ __all__ = [
     "EnergyModel",
     "SweepPoint",
     "bandwidth_sweep",
-    "effective_words_per_cycle",
     "equivalent_dsp_budget",
     "estimate_energy",
     "memory_bound_threshold",
     "performance_under_bandwidth",
     "required_bandwidth_bytes_per_sec",
     "BufferSpec",
-    "ChannelSchedule",
-    "ComputeStage",
     "ConvStage",
     "DEFAULT_DEVICE",
     "DEFAULT_LINK",
@@ -71,7 +66,6 @@ __all__ = [
     "FpgaDevice",
     "INT16",
     "FusedDesign",
-    "MemStage",
     "ModuleConfig",
     "PartitionDesign",
     "PoolEngine",
@@ -87,7 +81,6 @@ __all__ = [
     "generate_baseline",
     "generate_compute_module",
     "generate_standalone",
-    "fused_design_stages",
     "generate_fused",
     "group_stages",
     "module_cycles",
@@ -96,6 +89,5 @@ __all__ = [
     "precision_summary",
     "scale_bytes",
     "simulate_pipeline",
-    "simulate_with_channel",
     "stage_cost",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import ConfigError
 
@@ -27,24 +27,6 @@ def required_bandwidth_bytes_per_sec(transfer_bytes_per_image: int,
         raise ConfigError("images_per_second must be non-negative",
                           images_per_second=images_per_second)
     return transfer_bytes_per_image * images_per_second
-
-
-def effective_words_per_cycle(base: float, cycle: int,
-                              faults: Optional[object] = None) -> float:
-    """Channel throughput at simulated time ``cycle``.
-
-    The nominal ``base`` words/cycle, scaled by an injected
-    ``bandwidth_degrade`` fault when a
-    :class:`~repro.faults.injector.FaultInjector` is supplied (the
-    FPGA-review observation that sustained DRAM bandwidth sags below the
-    datasheet number under real access patterns). Duck-typed so this
-    module never imports :mod:`repro.faults`.
-    """
-    if base <= 0:
-        raise ConfigError("words_per_cycle must be positive", base=base)
-    if faults is None:
-        return base
-    return base * faults.bandwidth_factor(cycle)
 
 
 @dataclass(frozen=True)

@@ -101,13 +101,16 @@ class FusedDesign:
         return 16 * len(self.stage_timings())
 
     def stage_timings(self) -> List[StageTiming]:
-        """Per-pyramid pipeline stages: load, conv modules, pool stages."""
+        """Per-pyramid pipeline stages: load, conv modules, pool stages,
+        store. Load and store carry the words they move, so the same
+        stages also run against a shared DRAM channel."""
         geometry = self.geometry
         fresh = _fresh_tiles(self.levels, geometry)
         stages: List[StageTiming] = []
         base = geometry.tiles[0]
         load_words = base.new_in_h * base.new_in_w * self.levels[0].in_channels
-        stages.append(StageTiming("load", ceil(load_words / WORDS_PER_CYCLE)))
+        stages.append(StageTiming("load", ceil(load_words / WORDS_PER_CYCLE),
+                                  words=load_words))
         conv_iter = iter(self.modules)
         for i, level in enumerate(self.levels):
             if level.is_conv:
@@ -119,7 +122,8 @@ class FusedDesign:
                 stages.append(StageTiming(level.name, ceil(pool_cycles / WORDS_PER_CYCLE)))
         out = self.levels[-1].out_shape
         store_words = self.tip_h * self.tip_w * out.channels
-        stages.append(StageTiming("store", ceil(store_words / WORDS_PER_CYCLE)))
+        stages.append(StageTiming("store", ceil(store_words / WORDS_PER_CYCLE),
+                                  words=store_words))
         return stages
 
     @property

@@ -39,7 +39,6 @@ from .events import BEGIN, END, INSTANT, POINT, Column, Event, EventStore
 from .prometheus import prometheus_text, write_prometheus
 from .registry import (
     NOOP_SPAN,
-    PipelineRecord,
     Registry,
     SpanRecord,
     add_counter,
@@ -57,7 +56,7 @@ from .report import render_report
 from .slo import SLOMonitor, SLOTarget, render_slos
 from .timeline import RollingQuantile, Timeline
 from .tracing import Tracer, TraceSpan
-from .traffic import mirror_traffic
+from .traffic import mirror_traffic, traffic_mark
 
 __all__ = [
     "BEGIN",
@@ -70,7 +69,6 @@ __all__ = [
     "MetricDelta",
     "NOOP_SPAN",
     "POINT",
-    "PipelineRecord",
     "Registry",
     "RollingQuantile",
     "SLOMonitor",
@@ -96,6 +94,7 @@ __all__ = [
     "render_slos",
     "set_gauge",
     "span",
+    "traffic_mark",
     "write_chrome_trace",
     "write_prometheus",
 ]

@@ -3,8 +3,10 @@
 Renders a :class:`~repro.obs.registry.Registry` as the JSON-object form
 of the Trace Event Format:
 
-* every span becomes a complete (``"ph": "X"``) event on the **main
-  thread** (pid 1 / tid 1) — nesting falls out of the timestamps;
+* every span becomes a complete (``"ph": "X"``) event on the track of
+  the thread that opened it (pid 1; the main thread is tid 1, other
+  threads follow in order of their first span) — nesting falls out of
+  the timestamps;
 * every recorded pipeline schedule becomes its own process with **one
   track (tid) per fused stage**; each item's busy interval at a stage is
   one complete event, so the fill wavefront and the bottleneck stage are
@@ -20,6 +22,7 @@ as JSON ready to load into https://ui.perfetto.dev.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Dict, List
 
 from .registry import Registry
@@ -41,6 +44,12 @@ def chrome_trace(registry: Registry) -> Dict[str, Any]:
         _metadata(MAIN_PID, 0, "process_name", "repro"),
         _metadata(MAIN_PID, 1, "thread_name", "main"),
     ]
+    tids = {threading.main_thread().ident: 1}
+    for span in registry.spans:
+        tids.setdefault(span.thread, len(tids) + 1)
+    events.extend(_metadata(MAIN_PID, tid, "thread_name",
+                            registry.thread_names.get(thread, f"thread {tid}"))
+                  for thread, tid in tids.items() if tid > 1)
     for span in registry.spans:
         args: Dict[str, Any] = {"cpu_ms": round(span.cpu_s * 1e3, 3)}
         args.update(span.attrs)
@@ -49,7 +58,7 @@ def chrome_trace(registry: Registry) -> Dict[str, Any]:
             "cat": "span",
             "ph": "X",
             "pid": MAIN_PID,
-            "tid": 1,
+            "tid": tids[span.thread],
             "ts": span.start_s * 1e6,
             "dur": span.wall_s * 1e6,
             "args": args,
@@ -79,18 +88,18 @@ def chrome_trace(registry: Registry) -> Dict[str, Any]:
                 "ts": t * 1e6,
                 "args": {"count": count, "sum": round(total, 6)},
             })
-    for index, pipe in enumerate(registry.pipelines):
+    for index, (name, schedule) in enumerate(registry.pipelines):
         pid = PIPELINE_PID_BASE + index
-        events.append(_metadata(pid, 0, "process_name", f"pipeline:{pipe.name}"))
-        for stage, stage_name in enumerate(pipe.stage_names):
+        events.append(_metadata(pid, 0, "process_name", f"pipeline:{name}"))
+        for stage, timing in enumerate(schedule.stages):
             tid = stage + 1
             events.append(_metadata(pid, tid, "thread_name",
-                                    f"stage {stage}: {stage_name}"))
-            cycles = pipe.stage_cycles[stage]
-            for item, finish_row in enumerate(pipe.stage_finish):
+                                    f"stage {stage}: {timing.name}"))
+            cycles = timing.cycles
+            for item, finish_row in enumerate(schedule.stage_finish):
                 finish = finish_row[stage]
                 events.append({
-                    "name": stage_name,
+                    "name": timing.name,
                     "cat": "pipeline",
                     "ph": "X",
                     "pid": pid,

@@ -2,15 +2,17 @@
 
 A :class:`Registry` accumulates three kinds of signal:
 
-* **spans** — hierarchical timed regions (wall *and* CPU time) opened
-  with :meth:`Registry.span`, nesting tracked by an explicit stack;
+* **spans** — hierarchical timed regions (wall time and the calling
+  thread's CPU time) opened with :meth:`Registry.span`, nesting tracked
+  by one stack per thread, each span tagged with its thread;
 * **counters** — monotonically increasing numeric totals
   (:meth:`Registry.add`), e.g. partitions scored or DRAM bytes moved;
 * **gauges** — last-write-wins numeric values (:meth:`Registry.gauge`).
 
-It also stores :class:`PipelineRecord` snapshots of discrete-event
-pipeline schedules so exporters can render one timeline track per fused
-stage (see :mod:`repro.obs.chrome_trace`).
+Counter and gauge updates hold a lock, so concurrent threads lose none.
+It also keeps the discrete-event pipeline schedules it is handed, so
+exporters can render one timeline track per fused stage (see
+:mod:`repro.obs.chrome_trace`).
 
 The module-level API (:func:`span`, :func:`add_counter`, :func:`set_gauge`,
 :func:`record_pipeline`) routes to a process-global registry and is a
@@ -24,10 +26,12 @@ NumPy or any other subsystem of the reproduction.
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .events import EventStore
 
@@ -42,69 +46,48 @@ class SpanRecord:
     depth: int
     start_s: float  # seconds since the registry epoch
     end_s: float
-    cpu_s: float    # process CPU seconds consumed inside the span
+    cpu_s: float    # CPU seconds the span's thread consumed inside it
     attrs: Dict[str, Any] = field(default_factory=dict)
+    thread: int = 0  # threading.get_ident() of the opening thread
 
     @property
     def wall_s(self) -> float:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
-class PipelineRecord:
-    """Snapshot of one simulated pipeline schedule.
-
-    ``stage_finish[item][stage]`` holds completion cycles exactly as
-    :class:`repro.hw.pipeline.PipelineSchedule` reports them; the record
-    keeps plain tuples so the observability layer never imports ``hw``.
-    """
-
-    name: str
-    stage_names: Tuple[str, ...]
-    stage_cycles: Tuple[int, ...]
-    num_items: int
-    makespan: int
-    stage_finish: Tuple[Tuple[int, ...], ...]
-
-    def busy_cycles(self, stage: int) -> int:
-        return self.num_items * self.stage_cycles[stage]
-
-    def idle_cycles(self, stage: int) -> int:
-        return self.makespan - self.busy_cycles(stage)
-
-    def utilization(self, stage: int) -> float:
-        if self.makespan == 0:
-            return 0.0
-        return self.busy_cycles(stage) / self.makespan
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "num_items": self.num_items,
-            "makespan": self.makespan,
-            "stages": [
-                {
-                    "name": name,
-                    "cycles_per_item": cycles,
-                    "busy_cycles": self.busy_cycles(i),
-                    "idle_cycles": self.idle_cycles(i),
-                    "utilization": self.utilization(i),
-                }
-                for i, (name, cycles) in enumerate(
-                    zip(self.stage_names, self.stage_cycles))
-            ],
-        }
+def pipeline_summary(name: str, schedule) -> Dict[str, Any]:
+    """Metrics form of one recorded pipeline schedule, read duck-typed
+    (as :func:`repro.obs.mirror_traffic` reads a trace) so the
+    observability layer never imports ``hw``."""
+    utilization = schedule.utilization
+    return {
+        "name": name,
+        "num_items": schedule.num_items,
+        "makespan": schedule.makespan,
+        "stages": [
+            {
+                "name": stage.name,
+                "cycles_per_item": stage.cycles,
+                "busy_cycles": schedule.busy_cycles(i),
+                "idle_cycles": schedule.idle_cycles(i),
+                "utilization": utilization[i],
+            }
+            for i, stage in enumerate(schedule.stages)
+        ],
+    }
 
 
 class _ActiveSpan:
     """Context manager for one open span of an enabled registry."""
 
-    __slots__ = ("_registry", "_record", "_cpu0")
+    __slots__ = ("_registry", "_record", "_cpu0", "_stack")
 
-    def __init__(self, registry: "Registry", record: SpanRecord, cpu0: float):
+    def __init__(self, registry: "Registry", record: SpanRecord, cpu0: float,
+                 stack: List[SpanRecord]):
         self._registry = registry
         self._record = record
         self._cpu0 = cpu0
+        self._stack = stack
 
     def set(self, **attrs: Any) -> "_ActiveSpan":
         """Attach attributes to the span while it is open."""
@@ -117,8 +100,8 @@ class _ActiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         record = self._record
         record.end_s = time.perf_counter() - self._registry.epoch
-        record.cpu_s = time.process_time() - self._cpu0
-        stack = self._registry._stack
+        record.cpu_s = time.thread_time() - self._cpu0
+        stack = self._stack
         if stack and stack[-1] is record:
             stack.pop()
         return False
@@ -143,7 +126,7 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Registry:
-    """Accumulates spans, counters, gauges, and pipeline snapshots.
+    """Accumulates spans, counters, gauges, and pipeline schedules.
 
     A registry's methods always record — the global on/off switch lives
     in the module-level convenience functions, so standalone registries
@@ -155,10 +138,14 @@ class Registry:
         self.spans: List[SpanRecord] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.pipelines: List[PipelineRecord] = []
+        #: ``(name, schedule)`` per recorded pipeline run
+        self.pipelines: List[Tuple[str, Any]] = []
+        #: thread ident -> thread name, for every thread that opened a span
+        self.thread_names: Dict[int, str] = {}
         self.events = EventStore(max_rows=max_event_rows)
-        self._stack: List[SpanRecord] = []
-        self._next_id = 0
+        self._local = threading.local()
+        self._ids = itertools.count()
+        self._lock = threading.Lock()
         self.__dict__.pop("_timeline", None)  # reset() re-runs __init__
 
     @property
@@ -176,31 +163,42 @@ class Registry:
     # -- recording -------------------------------------------------------------
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
-        """Open a timed region; close it by exiting the context manager."""
+        """Open a timed region; close it by exiting the context manager.
+
+        Its parent is the innermost span still open on the calling
+        thread."""
         now = time.perf_counter() - self.epoch
-        parent = self._stack[-1] if self._stack else None
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        thread = threading.get_ident()
+        if thread not in self.thread_names:
+            self.thread_names[thread] = threading.current_thread().name
+        parent = stack[-1] if stack else None
         record = SpanRecord(
-            id=self._next_id,
+            id=next(self._ids),
             parent_id=parent.id if parent is not None else None,
             name=name,
-            depth=len(self._stack),
+            depth=len(stack),
             start_s=now,
             end_s=now,
             cpu_s=0.0,
             attrs=dict(attrs),
+            thread=thread,
         )
-        self._next_id += 1
         self.spans.append(record)
-        self._stack.append(record)
-        return _ActiveSpan(self, record, time.process_time())
+        stack.append(record)
+        return _ActiveSpan(self, record, time.thread_time(), stack)
 
     def add(self, name: str, value: float = 1) -> None:
         """Increment a monotonic counter."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set a last-write-wins gauge."""
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
 
     def emit(self, name: str, value: float = 1.0,
              attrs: Optional[Dict[str, Any]] = None) -> None:
@@ -212,22 +210,13 @@ class Registry:
         self.events.append(name, time.perf_counter() - self.epoch,
                            value=value, attrs=attrs)
 
-    def record_pipeline(self, stage_names: Sequence[str],
-                        stage_cycles: Sequence[int],
-                        num_items: int, makespan: int,
-                        stage_finish: Sequence[Sequence[int]],
-                        name: Optional[str] = None) -> PipelineRecord:
-        """Store a pipeline schedule snapshot (auto-named when unnamed)."""
-        record = PipelineRecord(
-            name=name or f"pipeline{len(self.pipelines)}",
-            stage_names=tuple(stage_names),
-            stage_cycles=tuple(int(c) for c in stage_cycles),
-            num_items=num_items,
-            makespan=makespan,
-            stage_finish=tuple(tuple(int(t) for t in row) for row in stage_finish),
-        )
-        self.pipelines.append(record)
-        return record
+    def record_pipeline(self, schedule, name: Optional[str] = None) -> str:
+        """Keep a pipeline schedule for the exporters; returns the name
+        it is kept under (``pipeline<N>`` when unnamed)."""
+        with self._lock:
+            name = name or f"pipeline{len(self.pipelines)}"
+            self.pipelines.append((name, schedule))
+        return name
 
     # -- introspection ---------------------------------------------------------
 
@@ -255,7 +244,8 @@ class Registry:
             ],
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "pipelines": [p.to_dict() for p in self.pipelines],
+            "pipelines": [pipeline_summary(name, schedule)
+                          for name, schedule in self.pipelines],
             "events": self.events.summary(),
         }
 
@@ -330,11 +320,8 @@ def emit_event(name: str, value: float = 1.0,
         _REGISTRY.emit(name, value, attrs=attrs)
 
 
-def record_pipeline(stage_names: Sequence[str], stage_cycles: Sequence[int],
-                    num_items: int, makespan: int,
-                    stage_finish: Sequence[Sequence[int]],
-                    name: Optional[str] = None) -> Optional[PipelineRecord]:
+def record_pipeline(schedule, name: Optional[str] = None) -> Optional[str]:
+    """Keep a pipeline schedule on the global registry; free if disabled."""
     if not _ENABLED:
         return None
-    return _REGISTRY.record_pipeline(stage_names, stage_cycles, num_items,
-                                     makespan, stage_finish, name=name)
+    return _REGISTRY.record_pipeline(schedule, name=name)

@@ -8,9 +8,9 @@ modelled hardware (per-stage pipeline utilization).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List
 
-from .registry import PipelineRecord, Registry
+from .registry import Registry, pipeline_summary
 
 _BYTE_SUFFIX = ("_bytes",)
 
@@ -103,17 +103,19 @@ def _render_gauges(registry: Registry, lines: List[str]) -> None:
         lines.append(f"  {name:<{width}s} {registry.gauges[name]:g}")
 
 
-def _render_pipeline(pipe: PipelineRecord, lines: List[str]) -> None:
-    lines.append(f"pipeline {pipe.name}: {len(pipe.stage_names)} stages, "
-                 f"{pipe.num_items} items, makespan {pipe.makespan:,} cycles")
-    width = max((len(n) for n in pipe.stage_names), default=5) + 2
+def _render_pipeline(pipe: Dict[str, Any], lines: List[str]) -> None:
+    stages = pipe["stages"]
+    lines.append(f"pipeline {pipe['name']}: {len(stages)} stages, "
+                 f"{pipe['num_items']} items, makespan "
+                 f"{pipe['makespan']:,} cycles")
+    width = max((len(s["name"]) for s in stages), default=5) + 2
     lines.append(f"  {'stage':<{width}s} {'cyc/item':>10s} {'busy':>12s} "
                  f"{'idle':>12s} {'util':>7s}")
-    for i, name in enumerate(pipe.stage_names):
+    for s in stages:
         lines.append(
-            f"  {name:<{width}s} {pipe.stage_cycles[i]:>10,} "
-            f"{pipe.busy_cycles(i):>12,} {pipe.idle_cycles(i):>12,} "
-            f"{pipe.utilization(i):>6.1%}"
+            f"  {s['name']:<{width}s} {s['cycles_per_item']:>10,} "
+            f"{s['busy_cycles']:>12,} {s['idle_cycles']:>12,} "
+            f"{s['utilization']:>6.1%}"
         )
 
 
@@ -126,7 +128,7 @@ def render_report(registry: Registry, title: str = "run report") -> str:
     _render_counters(registry, lines)
     _render_events(registry, lines)
     _render_gauges(registry, lines)
-    for pipe in registry.pipelines:
+    for name, schedule in registry.pipelines:
         lines.append("")
-        _render_pipeline(pipe, lines)
+        _render_pipeline(pipeline_summary(name, schedule), lines)
     return "\n".join(lines)

@@ -168,6 +168,7 @@ class FusedExecutor:
                      trace=trace if trace is not None else TrafficTrace(),
                      states=[None if b is None else b.allocate(self.dtype)
                              for b in self.buffers])
+        mark = obs.traffic_mark(call.trace)
         final = self.levels[-1].out_shape
         out = np.zeros((final.channels, final.height, final.width), dtype=self.dtype)
 
@@ -183,7 +184,7 @@ class FusedExecutor:
                         call.trace.write("output", fresh.size)
                         obs.add_counter("sim.fused.pyramids", 1)
             obs.set_gauge("sim.fused.buffer_bytes", self.buffer_bytes)
-            obs.mirror_traffic(call.trace, "sim.fused")
+            obs.mirror_traffic(call.trace, "sim.fused", mark)
         return out
 
     # -- setup ----------------------------------------------------------------

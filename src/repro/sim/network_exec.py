@@ -85,6 +85,7 @@ class NetworkExecutor:
             raise ShapeError(f"input {current.shape} != network input {expected}")
         items = current.shape[0] if lead else 1
         outputs: List[np.ndarray] = []
+        mark = obs.traffic_mark(trace)
         with obs.span("network.run", network=self.network.name,
                       layers=len(self.network)):
             for binding in self.network:
@@ -102,8 +103,7 @@ class NetworkExecutor:
                     trace.compute(binding.name, binding.total_ops * items,
                                   macs=binding.total_ops // 2 * items)
                 outputs.append(current)
-            if trace is not None:
-                obs.mirror_traffic(trace, "sim.network")
+            obs.mirror_traffic(trace, "sim.network", mark)
         return outputs
 
     def run_batch(self, xs, trace: Optional[TrafficTrace] = None) -> List[np.ndarray]:

@@ -47,6 +47,7 @@ class ReferenceExecutor:
         outputs: List[np.ndarray] = []
         current = x
         i = 0
+        mark = obs.traffic_mark(trace)
         with obs.span("reference.run", levels=len(self.levels)):
             while i < len(self.levels):
                 level = self.levels[i]
@@ -72,6 +73,5 @@ class ReferenceExecutor:
                 if trace is not None:
                     trace.compute(level.name, level.total_ops)
                 i += 1
-            if trace is not None:
-                obs.mirror_traffic(trace, "sim.reference")
+            obs.mirror_traffic(trace, "sim.reference", mark)
         return outputs

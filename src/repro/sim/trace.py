@@ -7,6 +7,7 @@ so schedules can be compared event-by-event in tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -76,10 +77,11 @@ class TrafficTrace:
     def writes_for(self, label: str) -> int:
         return sum(n for kind, lbl, n in self.events if kind == "write" and lbl == label)
 
-    def by_label(self) -> Dict[str, Tuple[int, int, int]]:
-        """Per-label totals: ``{label: (read_bytes, write_bytes, ops)}``."""
+    def by_label(self, start: int = 0) -> Dict[str, Tuple[int, int, int]]:
+        """Per-label totals: ``{label: (read_bytes, write_bytes, ops)}``,
+        over the events from index ``start`` on."""
         totals: Dict[str, List[int]] = {}
-        for kind, label, n in self.events:
+        for kind, label, n in itertools.islice(self.events, start, None):
             entry = totals.setdefault(label, [0, 0, 0])
             if kind == "read":
                 entry[0] += n * BYTES_PER_WORD

@@ -278,12 +278,7 @@ def _pipeline_metrics(ctx: EvalContext,
     interval = estimate.interval_cycles
     utilization = estimate.stage_utilization
     # fill/drain over a standard micro-batch probe (one amortization run)
-    from ..dist.pipeline import simulate_microbatches
-
-    run = simulate_microbatches(
-        [s.stage_cycles for s in estimate.stages],
-        [s.link_cycles for s in estimate.stages],
-        num_items=max(ctx.weight_items, 2))
+    run = estimate.simulate(max(ctx.weight_items, 2))
     return {
         "pipe_interval": float(interval),
         "interval_dsp": float(interval) * estimate.total_dsp,

@@ -68,14 +68,21 @@ class TestExecution:
             direct = base.execute([x])[0]
             np.testing.assert_array_equal(sharded, direct)
 
-    def test_execute_records_micro_batch_run(self, plan, inputs):
-        plan.execute(inputs)
-        assert plan.last_run is not None
-        assert plan.last_run.num_items == len(inputs)
+    def test_execute_runs_no_cycle_simulation(self, plan, inputs,
+                                              monkeypatch):
+        """Timing is priced once, at compile time: serving a batch runs
+        the numerics only."""
+        from repro.hw import pipeline
 
-    def test_each_thread_sees_its_own_last_run(self, plan, inputs):
-        """Two threads execute batches of different sizes on one plan,
-        then both read ``last_run``: each must see its own batch."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("execute ran a pipeline simulation")
+
+        monkeypatch.setattr(pipeline, "_schedule", forbidden)
+        assert len(plan.execute(inputs)) == len(inputs)
+
+    def test_each_thread_sees_its_own_stage_report(self, plan, inputs):
+        """Two threads execute batches on one plan, then both read
+        ``last_stage_report``: each must see its own batch's timings."""
         import threading
 
         barrier = threading.Barrier(2, timeout=60)
@@ -84,7 +91,7 @@ class TestExecution:
         def execute(size):
             plan.execute(inputs[:size])
             barrier.wait()  # both executes are done before either reads
-            seen[size] = plan.last_run.num_items
+            seen[size] = plan.last_stage_report
 
         threads = [threading.Thread(target=execute, args=(size,))
                    for size in (1, 3)]
@@ -93,7 +100,10 @@ class TestExecution:
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        assert seen == {1: 1, 3: 3}
+        assert seen[1] is not seen[3]
+        for report in seen.values():
+            assert [entry["device"] for entry in report] == [
+                d.name for d in plan.devices]
 
     def test_stage_report_covers_every_device(self, plan, inputs):
         plan.execute(inputs[:2])

@@ -21,10 +21,11 @@ from repro.dist import (
     enumerate_boundaries,
     pipeline_plan_key,
     plan_atoms,
-    simulate_microbatches,
     split_device,
 )
+from repro.check import check_pipeline_schedule
 from repro.hw.device import DEFAULT_DEVICE, DeviceSpec
+from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.nn.zoo import toynet, vggnet_e
 from repro.serve import CompiledPlan, compile_plan
 
@@ -92,15 +93,18 @@ class TestSchedulerInvariants:
         links = data.draw(st.lists(st.integers(0, 200),
                                    min_size=len(stages),
                                    max_size=len(stages)))
-        run = simulate_microbatches(stages, links, num_items=num_items,
-                                    queue_depth=queue_depth)
-        assert run.makespan_cycles == (run.fill_drain_cycles
-                                       + num_items * run.steady_interval)
-        assert run.steady_interval == max(run.stage_service)
+        # a stage's service is its cycles plus its link out, as
+        # PipelineEstimate.simulate folds them
+        timing = [StageTiming(str(i), cycles + link)
+                  for i, (cycles, link) in enumerate(zip(stages, links))]
+        run = simulate_pipeline(timing, num_items, queue_depth=queue_depth)
+        assert run.makespan == (run.fill_drain_cycles
+                                + num_items * run.steady_state_interval)
+        assert run.steady_state_interval == max(run.service)
         if len(stages) > 1:
             assert max(run.max_queue[1:]) <= queue_depth
-        again = simulate_microbatches(stages, links, num_items=num_items,
-                                      queue_depth=queue_depth)
+        assert check_pipeline_schedule(run) == []
+        again = simulate_pipeline(timing, num_items, queue_depth=queue_depth)
         assert again.to_dict() == run.to_dict()
 
 

@@ -5,16 +5,16 @@ import pytest
 from repro import obs
 from repro.errors import SimFaultError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.hw.memory_sim import ComputeStage, MemStage, simulate_with_channel
 from repro.hw.pipeline import StageTiming, simulate_pipeline
 
-STAGES = [MemStage("load", 64), ComputeStage("conv", 10), MemStage("store", 32)]
+STAGES = [StageTiming("load", 0, words=64), StageTiming("conv", 10),
+          StageTiming("store", 0, words=32)]
 
 
 def run(plan=None, retry=None, items=12, wpc=8.0):
     faults = plan.injector() if plan is not None else None
-    return simulate_with_channel(STAGES, items, words_per_cycle=wpc,
-                                 faults=faults, retry=retry)
+    return simulate_pipeline(STAGES, items, words_per_cycle=wpc,
+                             faults=faults, retry=retry)
 
 
 class TestChannelFaults:
@@ -65,6 +65,15 @@ class TestChannelFaults:
         faulty = run(FaultPlan.parse("dram_stall:p=0.3,cycles=50", seed=1))
         assert faulty.memory_bound == clean.memory_bound
         assert faulty.compute_bound == clean.compute_bound
+
+    def test_channel_run_draws_no_stage_stalls(self):
+        """``stage_stall`` hits runs without a channel; a channel run
+        with the same plan leaves its compute stages alone."""
+        plan = FaultPlan.parse("stage_stall:p=1,cycles=7")
+        injector = plan.injector()
+        assert run().makespan == simulate_pipeline(
+            STAGES, 12, words_per_cycle=8.0, faults=injector).makespan
+        assert injector.counts == {}
 
     def test_stall_counters_mirrored_to_obs(self):
         plan = FaultPlan.parse("dram_stall:p=0.3,cycles=50", seed=1)

@@ -120,3 +120,16 @@ class TestAnalyticMakespan:
 
     def test_single_stage_formula(self):
         assert analytic_makespan(stages(9), 6) == 9 + 5 * 9
+
+
+class TestPinnedOutputs:
+    """Schedules pinned before the Figure 6, shared-channel and
+    bounded-queue simulators became one."""
+
+    def test_bounded_queue_backpressure(self):
+        for depth, blocked, peaks in ((1, 14_700, (31, 1)),
+                                      (2, 14_200, (31, 2))):
+            run = simulate_pipeline(stages(10, 500), 32, queue_depth=depth)
+            assert run.makespan == 16_010
+            assert run.blocked_cycles == blocked
+            assert run.max_queue == peaks

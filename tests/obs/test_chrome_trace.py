@@ -1,7 +1,9 @@
 """Chrome Trace Event Format export validity."""
 
 import json
+import threading
 
+from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.obs import Registry, chrome_trace, write_chrome_trace
 
 REQUIRED_KEYS = {"name", "ph", "pid", "tid"}
@@ -13,11 +15,11 @@ def make_registry() -> Registry:
         with registry.span("explore.enumerate"):
             pass
     registry.add("explore.partitions_scored", 64)
-    registry.record_pipeline(
-        stage_names=["load", "conv1", "store"], stage_cycles=[2, 5, 1],
-        num_items=3, makespan=18,
-        stage_finish=[(2, 7, 8), (4, 12, 13), (6, 17, 18)],
-        name="demo")
+    # finishes (2, 7, 8), (4, 12, 13), (6, 17, 18); makespan 18
+    schedule = simulate_pipeline([StageTiming("load", 2),
+                                  StageTiming("conv1", 5),
+                                  StageTiming("store", 1)], 3)
+    registry.record_pipeline(schedule, name="demo")
     return registry
 
 
@@ -40,6 +42,26 @@ class TestChromeTrace:
         spans = [e for e in events if e.get("cat") == "span"]
         assert {e["name"] for e in spans} == {"explore", "explore.enumerate"}
         assert all(e["pid"] == 1 and e["tid"] == 1 for e in spans)
+
+    def test_each_thread_gets_its_own_track(self):
+        registry = Registry()
+        with registry.span("main-work"):
+            pass
+
+        def work():
+            with registry.span("worker-work"):
+                pass
+
+        worker = threading.Thread(target=work, name="worker-7")
+        worker.start()
+        worker.join(10)
+        events = chrome_trace(registry)["traceEvents"]
+        tid = {e["name"]: e["tid"] for e in events if e.get("cat") == "span"}
+        assert tid == {"main-work": 1, "worker-work": 2}
+        names = {e["tid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"
+                 and e["pid"] == 1}
+        assert names == {1: "main", 2: "worker-7"}
 
     def test_pipeline_one_track_per_stage(self):
         events = chrome_trace(make_registry())["traceEvents"]

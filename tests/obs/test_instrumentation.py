@@ -5,7 +5,14 @@ import numpy as np
 from repro import explore, obs, toynet, vggnet_e
 from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.nn.stages import extract_levels
-from repro.sim import FusedExecutor, ReferenceExecutor, TrafficTrace, make_input
+from repro.sim import (
+    FusedExecutor,
+    NetworkExecutor,
+    PartitionedExecutor,
+    ReferenceExecutor,
+    TrafficTrace,
+    make_input,
+)
 
 
 class TestExplorerInstrumentation:
@@ -76,15 +83,39 @@ class TestSimulatorMirroring:
         assert "sim.fused.buffer_bytes" in registry.gauges
 
 
+    def test_shared_trace_mirrors_each_calls_own_traffic(self):
+        """A per-item batch loop and a two-group partitioned run each
+        share one trace across calls; the counters equal that trace."""
+        net = toynet()
+        levels = extract_levels(net)
+        runs = {
+            "sim.network": lambda trace: NetworkExecutor(net).run_batch(
+                [make_input(net.input_shape, seed=i) for i in range(4)],
+                trace),
+            "sim.fused": lambda trace: PartitionedExecutor(
+                levels, (1, 1), integer=True).run(
+                    make_input(levels[0].in_shape, integer=True), trace),
+        }
+        for prefix, run in runs.items():
+            trace = TrafficTrace()
+            with obs.capture() as registry:
+                run(trace)
+            for name in ("dram_read_bytes", "dram_write_bytes", "ops",
+                         "macs"):
+                assert registry.counters[f"{prefix}.{name}"] == getattr(
+                    trace, name), (prefix, name)
+            for label, (read_bytes, _, _) in trace.by_label().items():
+                if read_bytes:
+                    assert registry.counters[
+                        f"{prefix}.dram_read_bytes[{label}]"] == read_bytes
+
+
 class TestPipelineInstrumentation:
     def test_schedule_recorded(self):
         stages = [StageTiming("a", 3), StageTiming("b", 5)]
         with obs.capture() as registry:
             schedule = simulate_pipeline(stages, 4, name="unit")
-        (record,) = registry.pipelines
-        assert record.name == "unit"
-        assert record.makespan == schedule.makespan
-        assert record.stage_finish == schedule.stage_finish
+        assert registry.pipelines == [("unit", schedule)]
         assert registry.counters["pipeline.busy_cycles[b]"] == 4 * 5
         assert registry.counters["pipeline.idle_cycles[b]"] == schedule.makespan - 20
 

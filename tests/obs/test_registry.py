@@ -1,8 +1,13 @@
 """Instrumentation core: spans, counters, gauges, enable/disable."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import obs
+from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.obs import NOOP_SPAN, Registry
 
 
@@ -48,6 +53,87 @@ class TestRegistrySpans:
         assert registry.spans[1].depth == 0
 
 
+class TestThreads:
+    """Spans nest per thread and counters count every update."""
+
+    @staticmethod
+    def _run(*targets):
+        threads = [threading.Thread(target=t) for t in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_span_parent_comes_from_the_calling_thread(self):
+        """Thread 1 opens A, thread 2 opens B, A closes, then B closes:
+        B is a root, and a later span on the main thread is a root too
+        (A does not linger on a shared stack)."""
+        registry = Registry()
+        a_open, b_open, a_closed = (threading.Event(), threading.Event(),
+                                    threading.Event())
+
+        def first():
+            with registry.span("A"):
+                a_open.set()
+                b_open.wait(5)
+            a_closed.set()
+
+        def second():
+            a_open.wait(5)
+            with registry.span("B"):
+                b_open.set()
+                a_closed.wait(5)
+
+        self._run(first, second)
+        with registry.span("later"):
+            pass
+        spans = {s.name: s for s in registry.spans}
+        for name in ("A", "B", "later"):
+            assert spans[name].parent_id is None, name
+            assert spans[name].depth == 0, name
+        assert spans["A"].thread != spans["B"].thread
+        assert spans["later"].thread == threading.get_ident()
+
+    def test_cpu_time_is_the_calling_threads(self):
+        """A span that only waits reports no CPU, while another thread
+        burns 50 ms of its own CPU time."""
+        registry = Registry()
+        opened, burnt = threading.Event(), threading.Event()
+
+        def idle():
+            with registry.span("idle"):
+                opened.set()
+                burnt.wait(10)
+
+        def burn():
+            opened.wait(10)
+            start = time.thread_time()
+            while time.thread_time() - start < 0.05:
+                pass
+            burnt.set()
+
+        self._run(idle, burn)
+        (span,) = registry.spans
+        assert span.cpu_s < 0.025
+
+    def test_concurrent_counter_updates_are_all_counted(self):
+        per_thread = 20_000
+
+        def count():
+            for _ in range(per_thread):
+                obs.add_counter("n")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.capture() as registry:
+                self._run(count, count, count, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert registry.counter("n") == 4 * per_thread
+
+
 class TestCountersGauges:
     def test_counters_accumulate(self):
         registry = Registry()
@@ -78,19 +164,23 @@ class TestCountersGauges:
 class TestPipelineRecord:
     def test_busy_idle_utilization(self):
         registry = Registry()
-        record = registry.record_pipeline(
-            stage_names=["a", "b"], stage_cycles=[3, 5], num_items=4,
-            makespan=23, stage_finish=[(3, 8), (6, 13), (9, 18), (12, 23)])
-        assert record.busy_cycles(1) == 20
-        assert record.idle_cycles(1) == 3
-        assert record.utilization(1) == pytest.approx(20 / 23)
-        assert record.name == "pipeline0"
+        schedule = simulate_pipeline([StageTiming("a", 3),
+                                      StageTiming("b", 5)], 4)
+        assert schedule.stage_finish == ((3, 8), (6, 13), (9, 18), (12, 23))
+        assert registry.record_pipeline(schedule) == "pipeline0"
+        assert registry.pipelines == [("pipeline0", schedule)]
+        (summary,) = registry.to_dict()["pipelines"]
+        assert summary["name"] == "pipeline0" and summary["makespan"] == 23
+        stage = summary["stages"][1]
+        assert stage["busy_cycles"] == 20
+        assert stage["idle_cycles"] == 3
+        assert stage["utilization"] == pytest.approx(20 / 23)
 
     def test_zero_makespan_utilization(self):
-        record = Registry().record_pipeline(
-            stage_names=["a"], stage_cycles=[0], num_items=0,
-            makespan=0, stage_finish=[])
-        assert record.utilization(0) == 0.0
+        registry = Registry()
+        registry.record_pipeline(simulate_pipeline([StageTiming("a", 0)], 0))
+        (summary,) = registry.to_dict()["pipelines"]
+        assert summary["stages"][0]["utilization"] == 0.0
 
 
 class TestGlobalSwitch:
@@ -109,7 +199,10 @@ class TestGlobalSwitch:
         obs.set_gauge("ghost_gauge", 1.0)
         assert obs.get_registry().counters == before
         assert "ghost_gauge" not in obs.get_registry().gauges
-        assert obs.record_pipeline(["a"], [1], 1, 1, [(1,)]) is None
+        schedule = simulate_pipeline([StageTiming("a", 1)], 1)
+        before = list(obs.get_registry().pipelines)
+        assert obs.record_pipeline(schedule) is None
+        assert obs.get_registry().pipelines == before
 
     def test_capture_enables_then_restores(self):
         assert not obs.enabled()

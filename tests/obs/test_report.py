@@ -1,5 +1,6 @@
 """Human-readable run report rendering."""
 
+from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.obs import Registry, render_report
 from repro.obs.report import MAX_SIBLINGS
 
@@ -10,9 +11,8 @@ def test_report_sections():
         registry.add("explore.partitions_scored", 64)
     registry.add("sim.fused.dram_read_bytes", 2 ** 20)
     registry.gauge("sim.outputs_match", 1.0)
-    registry.record_pipeline(
-        stage_names=["load", "conv1"], stage_cycles=[2, 5], num_items=4,
-        makespan=22, stage_finish=[(2, 7), (4, 12), (6, 17), (8, 22)])
+    registry.record_pipeline(simulate_pipeline(
+        [StageTiming("load", 2), StageTiming("conv1", 5)], 4))  # makespan 22
     report = render_report(registry)
     assert "explore" in report and "network=vgg" in report
     assert "explore.partitions_scored" in report and "64" in report

@@ -249,6 +249,53 @@ class TestFaultFlags:
         assert faults.get_active_plan() is None
 
 
+class TestPinnedSimulatorOutputs:
+    """Pipeline, shared-channel and micro-batch numbers pinned before
+    the three simulators became one."""
+
+    def test_faultsim_dram_stall_alexnet(self, capsys):
+        out = run(capsys, "faultsim", "alexnet", "--faults",
+                  "dram_stall:p=0.05", "--seed", "7")
+        assert ("channel makespan: 1,337,496 cycles (1.00x fault-free; "
+                "13 stalls, 13 retries, 936 stall cycles)") in out
+        assert "pipeline makespan under stage stalls: 1,337,496 cycles" in out
+
+    def test_faultsim_mixed_plan_vgg(self, capsys):
+        out = run(capsys, "faultsim", "vgg", "--faults",
+                  "dram_stall:p=0.02;stage_stall:p=0.05;bandwidth_degrade",
+                  "--seed", "7")
+        assert ("channel makespan: 12,433,045 cycles (1.00x fault-free; "
+                "134 stalls, 134 retries, 9,664 stall cycles)") in out
+        assert "pipeline makespan under stage stalls: 12,438,490 cycles" in out
+        assert ("injected: bandwidth_degrade=1, dram_stall=134, retries=134, "
+                "stage_stall=1433") in out
+
+    def test_stats_stage_stall_alexnet(self, capsys):
+        import json
+
+        meta = json.loads(run(capsys, "stats", "alexnet", "--faults",
+                              "stage_stall:p=0.05", "--seed", "7"))["meta"]
+        assert meta["pipeline_makespan_cycles"] == 1_337_912
+        assert meta["faults"]["injected"] == {"stage_stall": 73}
+
+    def test_pipeline_json_run_resnet18(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "pipeline.json"
+        run(capsys, "pipeline", "resnet18", "--input-size", "37",
+            "--devices", "2", "--json", str(path))
+        summary = json.loads(path.read_text())["run"]
+        assert summary["makespan_cycles"] == 58_253_066
+        assert summary["fill_cycles"] == 3_147_156
+        assert summary["fill_drain_cycles"] == 1_369_546
+        assert summary["max_queue"] == [31, 0]
+
+    def test_pipeline_zero_items_exits_2(self, capsys):
+        assert main(["pipeline", "toynet", "--devices", "2", "--partition",
+                     "1,1", "--items", "0"]) == 2
+        assert "at least one item" in capsys.readouterr().err
+
+
 class TestErrorExitCodes:
     def test_bad_fault_spec_exits_2_with_one_line_error(self, capsys):
         assert main(["explore", "vgg", "--faults", "cosmic_ray:p=1"]) == 2

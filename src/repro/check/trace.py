@@ -1,7 +1,7 @@
 """Static validation of exported request-trace files (RC5xx).
 
 ``repro serve-bench --trace PATH`` (and ``Tracer.to_jsonl`` /
-``Tracer.write_chrome_trace`` directly) emit two formats:
+``repro.obs.write_chrome_trace`` directly) emit two formats:
 
 * **JSONL** — one span object per line (``trace``, ``span``,
   ``parent``, ``name``, ``start_s``, ``end_s``, ``complete``), the

@@ -733,7 +733,7 @@ def cmd_serve_bench(args) -> None:
             count = svc.tracer.to_jsonl(args.trace)
             print(f"wrote {count} trace spans (JSONL) to {args.trace}")
         else:
-            svc.tracer.write_chrome_trace(args.trace)
+            obs.write_chrome_trace(args.trace, svc.tracer)
             print(f"wrote request trace (Chrome Trace Format) to "
                   f"{args.trace}")
     if args.prom is not None:
@@ -818,7 +818,7 @@ def cmd_slo(args) -> None:
     print()
     print(svc.stats.render())
     if args.trace is not None:
-        svc.tracer.write_chrome_trace(args.trace)
+        obs.write_chrome_trace(args.trace, svc.tracer)
         print(f"wrote request trace to {args.trace}")
     if args.json:
         payload = {"network": network.name, "requests": args.requests,
@@ -1036,18 +1036,14 @@ def _stats_graph(args) -> None:
     from .graph.zoo import GRAPH_ZOO
     from .sim import TrafficTrace
 
-    own_capture = not obs.enabled()
-    if own_capture:
-        obs.enable()
-    registry = obs.get_registry()
-
     plan = faults_mod.get_active_plan()
     injector = plan.injector() if plan is not None else None
     input_size = args.input_size
     if input_size is None:
         input_size = GRAPH_ZOO[args.network.lower()][1]
     network = _graph_network(args.network, input_size)
-    with obs.span("stats", network=network.name):
+    with obs.capture(fresh=not obs.enabled()) as registry, \
+            obs.span("stats", network=network.name):
         result = explore_graph(network, strategy=Strategy.REUSE)
         obs.set_gauge("explore.chosen_transfer_mb",
                       result.chosen.feature_transfer_bytes / 2**20)
@@ -1093,8 +1089,6 @@ def _stats_graph(args) -> None:
         print(f"wrote metrics JSON to {args.json}")
     else:
         print(text)
-    if own_capture:
-        obs.disable()
     if not match:
         raise SystemExit(1)
 
@@ -1121,15 +1115,11 @@ def cmd_stats(args) -> None:
     from .hw import optimize_fused, simulate_pipeline
     from .sim import FusedExecutor, ReferenceExecutor, TrafficTrace, make_input
 
-    own_capture = not obs.enabled()
-    if own_capture:
-        obs.enable()
-    registry = obs.get_registry()
-
     plan = faults_mod.get_active_plan()
     injector = plan.injector() if plan is not None else None
     network = _network(args.network)
-    with obs.span("stats", network=network.name):
+    with obs.capture(fresh=not obs.enabled()) as registry, \
+            obs.span("stats", network=network.name):
         result = explore(network, num_convs=args.convs,
                          strategy=Strategy.REUSE)
         obs.set_gauge("explore.front_transfer_mb",
@@ -1182,8 +1172,6 @@ def cmd_stats(args) -> None:
         print(f"wrote metrics JSON to {args.json}")
     else:
         print(text)
-    if own_capture:
-        obs.disable()
     if not match:
         raise SystemExit(1)
 

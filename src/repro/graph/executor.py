@@ -416,17 +416,6 @@ class GraphExecutor:
             else:
                 self._run_opaque(payload, env, trace)
 
-    def run_atoms(self, x: np.ndarray,
-                  trace: Optional[TrafficTrace] = None) -> np.ndarray:
-        """Run every atom in order — bit-identical to :meth:`run_fused`."""
-        expected = self.network.input_shape
-        if x.shape != (expected.channels, expected.height, expected.width):
-            raise ShapeError(f"input {x.shape} != network input {expected}")
-        env: Dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=self.dtype)}
-        for atom in self.exec_atoms():
-            self.run_atom(atom, env, trace)
-        return env[self.program.output_tensor]
-
 
 @dataclass(frozen=True)
 class ExecAtom:

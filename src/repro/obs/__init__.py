@@ -1,20 +1,19 @@
 """repro.obs — spans, counters, events, timelines, traces, and SLOs.
 
-The observability substrate for the reproduction, in two generations:
-
-* **gen 1 (profiling)** — a zero-dependency instrumentation core
-  (:mod:`repro.obs.registry`) of hierarchical spans, counters, and
-  gauges that the explorer, simulators, and pipeline model feed, plus
-  exporters: a human run report (:mod:`repro.obs.report`), a metrics
-  snapshot (:meth:`Registry.to_dict`), and Chrome Trace Event Format
-  (:mod:`repro.obs.chrome_trace`) loadable in Perfetto.
-* **gen 2 (production telemetry)** — a columnar event store
-  (:mod:`repro.obs.events`: typed chunked column arrays, windowed
-  aggregation), timeline metrics with bounded-memory streaming
-  quantiles (:mod:`repro.obs.timeline`), per-request tracing with span
-  trees and flow-event export (:mod:`repro.obs.tracing`), SLO monitors
-  with error-budget burn-rate alerts (:mod:`repro.obs.slo`), and
-  Prometheus text exposition (:mod:`repro.obs.prometheus`).
+One span model underlies it all. A :class:`~repro.obs.tracing.Tracer`
+records every span — a profiling region opened with :func:`span`, or a
+hop of a served request's trace — as BEGIN/END rows in a bounded
+columnar event store (:mod:`repro.obs.events`, default cap
+:data:`~repro.obs.events.MAX_ROWS`); :class:`~repro.obs.tracing.Span`
+records are rebuilt from the rows on read, consistently after eviction.
+Exporters: a human run report (:mod:`repro.obs.report`), a metrics
+snapshot (:meth:`Registry.to_dict`), span JSONL (``Tracer.to_jsonl``),
+and one Chrome Trace Event exporter (:mod:`repro.obs.chrome_trace`).
+Around it: counters, gauges and pipeline schedules
+(:mod:`repro.obs.registry`), timeline metrics and bounded-memory
+quantiles (:mod:`repro.obs.timeline`), SLO burn-rate monitors
+(:mod:`repro.obs.slo`), and Prometheus exposition
+(:mod:`repro.obs.prometheus`).
 
 Instrumentation is **off by default**: :func:`span` returns a shared
 no-op context manager and :func:`add_counter` / :func:`emit_event` are
@@ -40,7 +39,6 @@ from .prometheus import prometheus_text, write_prometheus
 from .registry import (
     NOOP_SPAN,
     Registry,
-    SpanRecord,
     add_counter,
     capture,
     disable,
@@ -55,7 +53,7 @@ from .registry import (
 from .report import render_report
 from .slo import SLOMonitor, SLOTarget, render_slos
 from .timeline import RollingQuantile, Timeline
-from .tracing import Tracer, TraceSpan
+from .tracing import Span, Tracer
 from .traffic import mirror_traffic, traffic_mark
 
 __all__ = [
@@ -73,9 +71,8 @@ __all__ = [
     "RollingQuantile",
     "SLOMonitor",
     "SLOTarget",
-    "SpanRecord",
+    "Span",
     "Timeline",
-    "TraceSpan",
     "Tracer",
     "add_counter",
     "capture",

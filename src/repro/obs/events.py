@@ -1,13 +1,11 @@
 """Columnar event store: typed, chunked column arrays for obs signals.
 
-The first-generation observability layer kept every signal either as a
-scalar (counters/gauges) or as a per-event Python object (``SpanRecord``
-dicts). That is fine for a profile of one run but collapses under a
-serving soak: a million requests × a handful of events each is tens of
-millions of Python dicts. This module stores events **columnarly** — one
-typed :class:`Column` per field, each a chain of fixed-size
-``array.array`` chunks — so an event costs a few machine words, names
-are interned once, and windowed aggregation walks contiguous memory.
+Every obs signal that has a time — a timeline metric point, the start
+and end of a span, an instant in a request trace — is one row of an
+:class:`EventStore`. The store keeps rows **columnarly**: one typed
+:class:`Column` per field, each a chain of fixed-size ``array.array``
+chunks, so a row costs a few machine words, names are interned once,
+and windowed aggregation walks contiguous memory.
 
 Schema (one row per event):
 
@@ -18,15 +16,18 @@ column     type   meaning
 ``name``   i64    interned event-name id (:meth:`EventStore.name_id`)
 ``kind``   i64    :data:`POINT` | :data:`BEGIN` | :data:`END` |
                   :data:`INSTANT`
-``value``  f64    numeric payload (metric increment, latency, ...)
+``value``  f64    numeric payload: a POINT's metric value; a span
+                  BEGIN's thread track, its END's thread CPU seconds
+                  (see :mod:`repro.obs.tracing`)
 ``trace``  i64    trace id (-1 when the event is not part of a trace)
 ``span``   i64    span id (-1 likewise)
 ``parent`` i64    parent span id (-1 for roots)
 ========== ====== ====================================================
 
-Rare per-event attributes live in a sparse ``{row: dict}`` side table so
-the hot columns stay fixed-width. ``max_rows`` bounds memory for long
-soaks by evicting whole chunks FIFO (running totals survive eviction).
+Rare per-event attributes live in sparse ``{row: dict}`` side tables,
+one per chunk, so the hot columns stay fixed-width. Every store is
+bounded: past ``max_rows`` (default :data:`MAX_ROWS`) whole chunks are
+evicted FIFO, and the per-name POINT totals stay lifetime-exact.
 
 Only the standard library is used; like the rest of :mod:`repro.obs`
 this module never imports NumPy.
@@ -34,11 +35,11 @@ this module never imports NumPy.
 
 from __future__ import annotations
 
-import json
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Event kinds. POINT is a timeline metric sample; BEGIN/END bracket a
 #: trace span; INSTANT is a zero-duration trace event (retry, requeue).
@@ -47,10 +48,12 @@ BEGIN = 1
 END = 2
 INSTANT = 3
 
-KIND_NAMES = {POINT: "point", BEGIN: "begin", END: "end", INSTANT: "instant"}
-
 #: Rows per chunk. 4096 rows × 7 columns × 8 bytes ≈ 224 KB per chunk.
 CHUNK_ROWS = 4096
+
+#: Default cap on a store's resident rows: 64 chunks, about 14 MB of
+#: columns plus the attribute side table.
+MAX_ROWS = 64 * CHUNK_ROWS
 
 
 class Column:
@@ -114,19 +117,21 @@ class Event:
 
 
 class EventStore:
-    """Typed, chunked, thread-safe columnar store of obs events.
+    """Typed, chunked, thread-safe, bounded columnar store of obs events.
 
-    Appends take one lock and seven array appends; aggregation reads
-    walk the chunks without materializing row objects. ``max_rows``
-    (optional) caps resident rows by whole-chunk FIFO eviction —
-    :meth:`totals` keeps exact lifetime counts/sums regardless.
+    An append takes one lock, one capacity check and seven appends to the
+    tail chunks; aggregation reads walk the chunks without materializing
+    row objects. Resident rows stay within ``max_rows`` (default
+    :data:`MAX_ROWS`; at least one chunk) by whole-chunk FIFO eviction
+    when a new chunk opens — :meth:`totals` keeps exact lifetime POINT
+    counts/sums regardless.
     """
 
     def __init__(self, max_rows: Optional[int] = None,
                  chunk_rows: int = CHUNK_ROWS):
         self._lock = threading.Lock()
         self.chunk_rows = chunk_rows
-        self.max_rows = max_rows
+        self.max_rows = MAX_ROWS if max_rows is None else max_rows
         self.names: List[str] = []
         self._name_ids: Dict[str, int] = {}
         self.ts = Column("d", chunk_rows)
@@ -136,9 +141,14 @@ class EventStore:
         self.trace = Column("q", chunk_rows)
         self.span = Column("q", chunk_rows)
         self.parent = Column("q", chunk_rows)
-        self.attrs: Dict[int, Dict[str, Any]] = {}
+        self._columns = (self.ts, self.name, self.kind, self.value,
+                         self.trace, self.span, self.parent)
+        #: per-chunk ``{row: attrs}`` side tables, aligned with the chunks
+        self._attrs: List[Dict[int, Dict[str, Any]]] = []
         self._totals: Dict[int, List[float]] = {}  # name_id -> [count, sum]
+        self._rows = 0  # absolute id of the next row
         self.evicted_rows = 0
+        self._tail = self._open_chunk()
 
     # -- writing ---------------------------------------------------------------
 
@@ -158,63 +168,81 @@ class EventStore:
                kind: int = POINT, trace: int = -1, span: int = -1,
                parent: int = -1,
                attrs: Optional[Dict[str, Any]] = None) -> int:
-        """Append one event row; returns its absolute row id."""
-        nid = self.name_id(name)
+        """Append one event row; returns its absolute row id.
+
+        The store keeps ``attrs`` as given (callers pass a fresh dict)."""
+        nid = self._name_ids.get(name)
+        if nid is None:
+            nid = self.name_id(name)
         with self._lock:
-            row = len(self.ts)
-            self.ts.append(ts)
-            self.name.append(nid)
-            self.kind.append(kind)
-            self.value.append(value)
-            self.trace.append(trace)
-            self.span.append(span)
-            self.parent.append(parent)
+            tail = self._tail
+            if len(tail[0]) >= self.chunk_rows:
+                tail = self._tail = self._open_chunk()
+            row = self._rows
+            self._rows = row + 1
+            tail[0].append(ts)
+            tail[1].append(nid)
+            tail[2].append(kind)
+            tail[3].append(value)
+            tail[4].append(trace)
+            tail[5].append(span)
+            tail[6].append(parent)
             if attrs:
-                self.attrs[row] = dict(attrs)
-            total = self._totals.get(nid)
-            if total is None:
-                self._totals[nid] = [1.0, value]
-            else:
-                total[0] += 1.0
-                total[1] += value
-            if self.max_rows is not None and self._resident() > self.max_rows:
-                self._evict_locked()
+                self._attrs[-1][row] = attrs
+            if kind == POINT:
+                total = self._totals.get(nid)
+                if total is None:
+                    self._totals[nid] = [1.0, value]
+                else:
+                    total[0] += 1.0
+                    total[1] += value
             return row
 
-    def _resident(self) -> int:
-        return len(self.ts) - self.ts.offset
-
-    def _evict_locked(self) -> None:
-        while len(self.ts.chunks) > 1 and self._resident() > self.max_rows:
+    def _open_chunk(self) -> List[array]:
+        """Evict the oldest chunks until a fresh one fits under
+        ``max_rows``, then open it; returns the new tail chunks."""
+        while (self.ts.chunks
+               and self._resident() + self.chunk_rows > self.max_rows):
             dropped = len(self.ts.chunks[0])
-            new_offset = self.ts.offset + dropped
-            for column in (self.ts, self.name, self.kind, self.value,
-                           self.trace, self.span, self.parent):
+            for column in self._columns:
                 column.drop_chunks(1)
+            del self._attrs[0]
             self.evicted_rows += dropped
-            for row in [r for r in self.attrs if r < new_offset]:
-                del self.attrs[row]
+        tail = [array(column.typecode) for column in self._columns]
+        for column, chunk in zip(self._columns, tail):
+            column.chunks.append(chunk)
+        self._attrs.append({})
+        return tail
+
+    def _resident(self) -> int:
+        return self._rows - self.ts.offset
 
     # -- reading ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.ts)
+        return self._rows
 
     @property
     def resident_rows(self) -> int:
         return self._resident()
+
+    def _snapshot(self) -> Tuple[int, List[Iterator], List[Dict[int, Any]]]:
+        """The first retained row, one value iterator per column, and the
+        attribute tables — taken under the lock, so a concurrent eviction
+        cannot misalign the columns mid-read."""
+        with self._lock:
+            start = self.ts.offset
+            chunks = [list(column.chunks) for column in self._columns]
+            attrs = list(self._attrs)
+        return start, [chain.from_iterable(c) for c in chunks], attrs
 
     def rows(self, name: Optional[str] = None,
              kind: Optional[int] = None,
              trace: Optional[int] = None) -> Iterator[Event]:
         """Iterate retained rows, optionally filtered (decoded lazily)."""
         want_name = self._name_ids.get(name, -2) if name is not None else None
-        start = self.ts.offset
-        for i, (ts, nid, knd, val, trc, spn, par) in enumerate(zip(
-                self.ts.iter_values(), self.name.iter_values(),
-                self.kind.iter_values(), self.value.iter_values(),
-                self.trace.iter_values(), self.span.iter_values(),
-                self.parent.iter_values())):
+        start, columns, attrs = self._snapshot()
+        for i, (ts, nid, knd, val, trc, spn, par) in enumerate(zip(*columns)):
             if want_name is not None and nid != want_name:
                 continue
             if kind is not None and knd != kind:
@@ -222,13 +250,13 @@ class EventStore:
             if trace is not None and trc != trace:
                 continue
             row = start + i
-            yield Event(row=row, ts=ts, name=self.names[int(nid)],
-                        kind=int(knd), value=val, trace=int(trc),
-                        span=int(spn), parent=int(par),
-                        attrs=self.attrs.get(row))
+            yield Event(row=row, ts=ts, name=self.names[nid], kind=knd,
+                        value=val, trace=trc, span=spn, parent=par,
+                        attrs=attrs[i // self.chunk_rows].get(row))
 
     def totals(self) -> Dict[str, Tuple[int, float]]:
-        """Lifetime ``{name: (count, value_sum)}`` (eviction-proof)."""
+        """Lifetime ``{name: (count, value_sum)}`` of POINT rows
+        (eviction-proof)."""
         return {self.names[nid]: (int(count), total)
                 for nid, (count, total) in self._totals.items()}
 
@@ -238,9 +266,7 @@ class EventStore:
         """``(count, value_sum)`` of retained POINT rows in ``[t0, t1)``."""
         want = self._name_ids.get(name, -2) if name is not None else None
         count, total = 0, 0.0
-        for ts, nid, knd, val in zip(
-                self.ts.iter_values(), self.name.iter_values(),
-                self.kind.iter_values(), self.value.iter_values()):
+        for ts, nid, knd, val in zip(*self._snapshot()[1][:4]):
             if knd != POINT or ts < t0 or ts >= t1:
                 continue
             if want is not None and nid != want:
@@ -260,9 +286,7 @@ class EventStore:
         if want is None or bucket_s <= 0:
             return []
         buckets: Dict[int, List[float]] = {}
-        for ts, nid, knd, val in zip(
-                self.ts.iter_values(), self.name.iter_values(),
-                self.kind.iter_values(), self.value.iter_values()):
+        for ts, nid, knd, val in zip(*self._snapshot()[1][:4]):
             if nid != want or knd != POINT:
                 continue
             key = int(ts / bucket_s)
@@ -287,25 +311,3 @@ class EventStore:
             "totals": {name: {"count": count, "sum": total}
                        for name, (count, total) in sorted(self.totals().items())},
         }
-
-    def to_jsonl(self, path: str) -> int:
-        """Dump every retained row as one JSON object per line."""
-        n = 0
-        with open(path, "w") as handle:
-            for event in self.rows():
-                record = {
-                    "ts": event.ts, "name": event.name,
-                    "kind": KIND_NAMES.get(event.kind, event.kind),
-                    "value": event.value,
-                }
-                if event.trace >= 0:
-                    record["trace"] = event.trace
-                if event.span >= 0:
-                    record["span"] = event.span
-                if event.parent >= 0:
-                    record["parent"] = event.parent
-                if event.attrs:
-                    record["attrs"] = event.attrs
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                n += 1
-        return n

@@ -4,7 +4,10 @@ A :class:`Registry` accumulates three kinds of signal:
 
 * **spans** — hierarchical timed regions (wall time and the calling
   thread's CPU time) opened with :meth:`Registry.span`, nesting tracked
-  by one stack per thread, each span tagged with its thread;
+  by one stack per thread, each span tagged with its thread. They are
+  recorded by the registry's :class:`~repro.obs.tracing.Tracer` as
+  BEGIN/END rows in its bounded event store; :attr:`Registry.spans`
+  rebuilds them on read;
 * **counters** — monotonically increasing numeric totals
   (:meth:`Registry.add`), e.g. partitions scored or DRAM bytes moved;
 * **gauges** — last-write-wins numeric values (:meth:`Registry.gauge`).
@@ -26,33 +29,12 @@ NumPy or any other subsystem of the reproduction.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .events import EventStore
-
-
-@dataclass
-class SpanRecord:
-    """One closed timed region."""
-
-    id: int
-    parent_id: Optional[int]
-    name: str
-    depth: int
-    start_s: float  # seconds since the registry epoch
-    end_s: float
-    cpu_s: float    # CPU seconds the span's thread consumed inside it
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    thread: int = 0  # threading.get_ident() of the opening thread
-
-    @property
-    def wall_s(self) -> float:
-        return self.end_s - self.start_s
+from .tracing import ActiveSpan, Span, Tracer
 
 
 def pipeline_summary(name: str, schedule) -> Dict[str, Any]:
@@ -75,36 +57,6 @@ def pipeline_summary(name: str, schedule) -> Dict[str, Any]:
             for i, stage in enumerate(schedule.stages)
         ],
     }
-
-
-class _ActiveSpan:
-    """Context manager for one open span of an enabled registry."""
-
-    __slots__ = ("_registry", "_record", "_cpu0", "_stack")
-
-    def __init__(self, registry: "Registry", record: SpanRecord, cpu0: float,
-                 stack: List[SpanRecord]):
-        self._registry = registry
-        self._record = record
-        self._cpu0 = cpu0
-        self._stack = stack
-
-    def set(self, **attrs: Any) -> "_ActiveSpan":
-        """Attach attributes to the span while it is open."""
-        self._record.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "_ActiveSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        record = self._record
-        record.end_s = time.perf_counter() - self._registry.epoch
-        record.cpu_s = time.thread_time() - self._cpu0
-        stack = self._stack
-        if stack and stack[-1] is record:
-            stack.pop()
-        return False
 
 
 class _NoopSpan:
@@ -133,18 +85,16 @@ class Registry:
     (benchmark harnesses, tests) work without flipping global state.
     """
 
-    def __init__(self, max_event_rows: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.epoch = time.perf_counter()
-        self.spans: List[SpanRecord] = []
+        #: records every span; its bounded store also holds the
+        #: timestamped events of :meth:`emit`
+        self.tracer = Tracer(epoch=self.epoch)
+        self.events = self.tracer.store
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         #: ``(name, schedule)`` per recorded pipeline run
         self.pipelines: List[Tuple[str, Any]] = []
-        #: thread ident -> thread name, for every thread that opened a span
-        self.thread_names: Dict[int, str] = {}
-        self.events = EventStore(max_rows=max_event_rows)
-        self._local = threading.local()
-        self._ids = itertools.count()
         self._lock = threading.Lock()
         self.__dict__.pop("_timeline", None)  # reset() re-runs __init__
 
@@ -162,33 +112,12 @@ class Registry:
 
     # -- recording -------------------------------------------------------------
 
-    def span(self, name: str, **attrs: Any) -> _ActiveSpan:
+    def span(self, name: str, **attrs: Any) -> ActiveSpan:
         """Open a timed region; close it by exiting the context manager.
 
         Its parent is the innermost span still open on the calling
-        thread."""
-        now = time.perf_counter() - self.epoch
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        thread = threading.get_ident()
-        if thread not in self.thread_names:
-            self.thread_names[thread] = threading.current_thread().name
-        parent = stack[-1] if stack else None
-        record = SpanRecord(
-            id=next(self._ids),
-            parent_id=parent.id if parent is not None else None,
-            name=name,
-            depth=len(stack),
-            start_s=now,
-            end_s=now,
-            cpu_s=0.0,
-            attrs=dict(attrs),
-            thread=thread,
-        )
-        self.spans.append(record)
-        stack.append(record)
-        return _ActiveSpan(self, record, time.thread_time(), stack)
+        thread (:meth:`repro.obs.tracing.Tracer.span`)."""
+        return self.tracer.span(name, **attrs)
 
     def add(self, name: str, value: float = 1) -> None:
         """Increment a monotonic counter."""
@@ -220,6 +149,12 @@ class Registry:
 
     # -- introspection ---------------------------------------------------------
 
+    @property
+    def spans(self) -> List[Span]:
+        """Every retained span in begin order, rebuilt from the tracer's
+        rows on each read."""
+        return self.tracer.spans()
+
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0)
 
@@ -231,7 +166,7 @@ class Registry:
         return {
             "spans": [
                 {
-                    "id": s.id,
+                    "id": s.span_id,
                     "parent_id": s.parent_id,
                     "name": s.name,
                     "depth": s.depth,
@@ -299,7 +234,7 @@ def span(name: str, **attrs: Any):
     """Open a span on the global registry; free when disabled."""
     if not _ENABLED:
         return NOOP_SPAN
-    return _REGISTRY.span(name, **attrs)
+    return _REGISTRY.tracer.span(name, **attrs)
 
 
 def add_counter(name: str, value: float = 1) -> None:

@@ -33,13 +33,14 @@ MAX_SIBLINGS = 6
 
 def _render_spans(registry: Registry, lines: List[str]) -> None:
     lines.append("spans (wall ms / cpu ms):")
-    if not registry.spans:
+    spans = registry.spans
+    if not spans:
         lines.append("  (none)")
         return
     children: dict = {}
-    for s in registry.spans:
+    for s in spans:
         children.setdefault(s.parent_id, []).append(s)
-    width = max(len("  " * s.depth + s.name) for s in registry.spans) + 4
+    width = max(len("  " * s.depth + s.name) for s in spans) + 4
 
     def emit(span) -> None:
         label = "  " * span.depth + span.name
@@ -48,7 +49,7 @@ def _render_spans(registry: Registry, lines: List[str]) -> None:
             attrs = "  " + " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
         lines.append(f"  {label:<{width}s} {span.wall_s * 1e3:10.3f} "
                      f"{span.cpu_s * 1e3:10.3f}{attrs}")
-        walk(span.id)
+        walk(span.span_id)
 
     def walk(parent_id) -> None:
         group = children.get(parent_id, [])
@@ -67,6 +68,10 @@ def _render_spans(registry: Registry, lines: List[str]) -> None:
                     emit(peer)
 
     walk(None)
+    evicted = registry.events.evicted_rows
+    if evicted:
+        lines.append(f"  ({evicted:,} old rows evicted: spans begun before "
+                     "them are gone, and their children show as roots)")
 
 
 def _render_counters(registry: Registry, lines: List[str]) -> None:
@@ -90,8 +95,7 @@ def _render_events(registry: Registry, lines: List[str]) -> None:
         extra = "" if total == count else f"  (sum {_fmt_count(name, total)})"
         lines.append(f"  {name:<{width}s} {count:,}{extra}")
     if registry.events.evicted_rows:
-        lines.append(f"  ({registry.events.evicted_rows:,} old rows evicted; "
-                     "totals are lifetime-exact)")
+        lines.append("  (old rows evicted; totals are lifetime-exact)")
 
 
 def _render_gauges(registry: Registry, lines: List[str]) -> None:

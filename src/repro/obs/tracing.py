@@ -1,9 +1,18 @@
-"""Per-request tracing: span trees over the columnar event store.
+"""The one span recorder: BEGIN/END rows over the columnar event store.
 
-A :class:`Tracer` records BEGIN/END/INSTANT rows into an
-:class:`~repro.obs.events.EventStore`; each served request is one
-*trace* (its id is minted by the serving front end) whose rows
-reconstruct into a span tree::
+A :class:`Tracer` writes every span as a BEGIN and an END row (and
+zero-duration events as INSTANT rows) into a bounded
+:class:`~repro.obs.events.EventStore`, and rebuilds :class:`Span` records
+from the rows only when read. Spans open two ways:
+
+* :meth:`Tracer.span` (= :meth:`repro.obs.Registry.span`), a context
+  manager for profiling: the parent is the innermost span open on the
+  calling thread; BEGIN carries the thread's track in ``value``, END the
+  thread CPU seconds spent inside and any :meth:`ActiveSpan.set` attrs.
+  Profiling spans belong to no trace (trace id -1).
+* :meth:`Tracer.begin`/:meth:`Tracer.end` (and :meth:`Tracer.span_at`),
+  with explicit ids, for request traces whose spans open and close on
+  different threads. Each served request is one trace::
 
     serve.request                       (root: submit -> future done)
       serve.enqueue                     (queue wait; again after requeue)
@@ -12,12 +21,10 @@ reconstruct into a span tree::
           serve.retry                   (instant: fault-repair attempt)
       serve.requeue                     (instant: worker crash recovery)
 
-Recording is append-only and thread-safe (the store locks); nothing is
-reconstructed until a reader asks. Exports: :meth:`Tracer.to_jsonl`
-(one completed span per line) and :meth:`Tracer.chrome_events` — Chrome
-Trace Event Format complete events on one track per pipeline stage,
-joined per request by flow events (``ph`` s/f) so a request's hop from
-queue to worker is a clickable arrow in Perfetto.
+After eviction a span whose BEGIN row is gone is dropped and a span
+whose parent is gone becomes a root, so every view and export names only
+parents it contains. Exports: :meth:`Tracer.to_jsonl` and
+:func:`repro.obs.chrome_trace`.
 """
 
 from __future__ import annotations
@@ -33,17 +40,20 @@ from .events import BEGIN, END, INSTANT, Event, EventStore
 
 
 @dataclass
-class TraceSpan:
-    """One reconstructed span (END may be missing: ``end_s is None``)."""
+class Span:
+    """One reconstructed span (still open: ``end_s is None``)."""
 
-    trace_id: int
     span_id: int
-    parent_id: int
+    parent_id: Optional[int]  # None for a root
     name: str
-    start_s: float
+    start_s: float  # seconds since the tracer epoch
     end_s: Optional[float] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-    children: List["TraceSpan"] = field(default_factory=list)
+    trace_id: int = -1  # -1: a profiling span, part of no trace
+    depth: int = 0
+    thread: int = 0   # threading.get_ident() of the opening thread, if known
+    cpu_s: float = 0.0  # CPU seconds the span's thread consumed inside it
+    children: List["Span"] = field(default_factory=list)
     events: List[Event] = field(default_factory=list)
 
     @property
@@ -54,13 +64,51 @@ class TraceSpan:
     def wall_s(self) -> float:
         return (self.end_s - self.start_s) if self.end_s is not None else 0.0
 
-    def walk(self) -> Iterable["TraceSpan"]:
+    def walk(self) -> Iterable["Span"]:
         yield self
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> List["TraceSpan"]:
+    def find(self, name: str) -> List["Span"]:
         return [s for s in self.walk() if s.name == name]
+
+
+class ActiveSpan:
+    """Context manager for one open profiling span."""
+
+    __slots__ = ("_tracer", "_name", "_span", "_parent", "_stack", "_cpu0",
+                 "_attrs")
+
+    def __init__(self, tracer: "Tracer", name: str, span: int, parent: int,
+                 stack: List[int]):
+        self._tracer = tracer
+        self._name = name
+        self._span = span
+        self._parent = parent
+        self._stack = stack
+        self._attrs: Optional[Dict[str, Any]] = None
+        self._cpu0 = time.thread_time()
+
+    def set(self, **attrs: Any) -> "ActiveSpan":
+        """Attach attributes to the span (recorded when it closes)."""
+        if self._attrs is None:
+            self._attrs = attrs
+        else:
+            self._attrs.update(attrs)
+        return self
+
+    def __enter__(self) -> "ActiveSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tracer = self._tracer
+        tracer.store.append(self._name, time.perf_counter() - tracer.epoch,
+                            time.thread_time() - self._cpu0, END, -1,
+                            self._span, self._parent, self._attrs)
+        stack = self._stack
+        if stack and stack[-1] == self._span:
+            stack.pop()
+        return False
 
 
 class Tracer:
@@ -71,24 +119,63 @@ class Tracer:
         self.store = store if store is not None else EventStore()
         self.epoch = epoch if epoch is not None else time.perf_counter()
         self._ids = itertools.count()
-        self._open: Dict[int, int] = {}  # span_id -> begin row (open spans)
+        #: span_id -> (name, trace, parent) of spans open via begin()
+        self._open: Dict[int, Tuple[str, int, int]] = {}
         self._lock = threading.Lock()
+        self._local = threading.local()
+        main = threading.main_thread()
+        #: track -> (thread ident, thread name) of every thread that
+        #: opened a profiling span; track 0 is "no thread" (begin/span_at
+        #: spans) and track 1 the main thread
+        self.threads: List[Tuple[int, str]] = [(0, ""),
+                                               (main.ident or 0, main.name)]
 
     def now(self) -> float:
         return time.perf_counter() - self.epoch
 
-    # -- recording -------------------------------------------------------------
+    # -- recording: profiling spans --------------------------------------------
+
+    def span(self, name: str, **attrs: Any) -> ActiveSpan:
+        """Open a profiling span; close it by exiting the context manager.
+
+        Its parent is the innermost span still open on the calling
+        thread."""
+        local = self._local
+        stack = getattr(local, "stack", None)
+        if stack is None:
+            stack = self._enter_thread()
+        parent = stack[-1] if stack else -1
+        span_id = next(self._ids)
+        self.store.append(name, time.perf_counter() - self.epoch,
+                          local.track, BEGIN, -1, span_id, parent, attrs)
+        stack.append(span_id)
+        return ActiveSpan(self, name, span_id, parent, stack)
+
+    def _enter_thread(self) -> List[int]:
+        """Give the calling thread its span stack and track number."""
+        thread = threading.current_thread()
+        with self._lock:
+            idents = [ident for ident, _ in self.threads]
+            if thread.ident in idents:
+                track = idents.index(thread.ident)
+            else:
+                track = len(self.threads)
+                self.threads.append((thread.ident or 0, thread.name))
+        self._local.track = float(track)
+        stack: List[int] = []
+        self._local.stack = stack
+        return stack
+
+    # -- recording: request traces ---------------------------------------------
 
     def begin(self, name: str, trace_id: int, parent_id: int = -1,
               **attrs: Any) -> int:
         """Open a span; returns its id (pass to :meth:`end`)."""
+        span_id = next(self._ids)
         with self._lock:
-            span_id = next(self._ids)
-        row = self.store.append(name, self.now(), kind=BEGIN, trace=trace_id,
-                                span=span_id, parent=parent_id,
-                                attrs=attrs or None)
-        with self._lock:
-            self._open[span_id] = row
+            self._open[span_id] = (name, trace_id, parent_id)
+        self.store.append(name, self.now(), 0.0, BEGIN, trace_id, span_id,
+                          parent_id, attrs)
         return span_id
 
     def end(self, span_id: int, **attrs: Any) -> None:
@@ -97,21 +184,18 @@ class Tracer:
         if span_id < 0:
             return
         with self._lock:
-            row = self._open.pop(span_id, None)
-            if row is None:
-                return
-            trace = int(self.store.trace[row])
-            parent = int(self.store.parent[row])
-            name = self.store.names[int(self.store.name[row])]
-        self.store.append(name, self.now(), kind=END, trace=trace,
-                          span=span_id, parent=parent, attrs=attrs or None)
+            opened = self._open.pop(span_id, None)
+        if opened is None:
+            return
+        name, trace, parent = opened
+        self.store.append(name, self.now(), 0.0, END, trace, span_id, parent,
+                          attrs)
 
     def instant(self, name: str, trace_id: int, parent_id: int = -1,
                 value: float = 1.0, **attrs: Any) -> None:
         """Record a zero-duration trace event (retry, requeue, ...)."""
-        self.store.append(name, self.now(), value=value, kind=INSTANT,
-                          trace=trace_id, span=-1, parent=parent_id,
-                          attrs=attrs or None)
+        self.store.append(name, self.now(), value, INSTANT, trace_id, -1,
+                          parent_id, attrs)
 
     def span_at(self, name: str, trace_id: int, start_s: float,
                 end_s: float, parent_id: int = -1, **attrs: Any) -> int:
@@ -122,43 +206,47 @@ class Tracer:
         replay timing a plan measured internally — e.g. per-device
         pipeline stage windows — into the trace after the fact.
         """
-        with self._lock:
-            span_id = next(self._ids)
-        self.store.append(name, start_s, kind=BEGIN, trace=trace_id,
-                          span=span_id, parent=parent_id,
-                          attrs=attrs or None)
-        self.store.append(name, end_s, kind=END, trace=trace_id,
-                          span=span_id, parent=parent_id, attrs=None)
+        span_id = next(self._ids)
+        self.store.append(name, start_s, 0.0, BEGIN, trace_id, span_id,
+                          parent_id, attrs)
+        self.store.append(name, end_s, 0.0, END, trace_id, span_id,
+                          parent_id)
         return span_id
 
     @property
     def open_spans(self) -> int:
+        """Spans opened with :meth:`begin` and not yet ended."""
         with self._lock:
             return len(self._open)
 
     # -- reconstruction --------------------------------------------------------
 
     def trace_ids(self) -> List[int]:
-        ids = sorted({e.trace for e in self.store.rows() if e.trace >= 0})
-        return ids
+        return sorted({e.trace for e in self.store.rows() if e.trace >= 0})
 
-    def spans(self, trace_id: int) -> List[TraceSpan]:
-        """Every span of one trace, in begin order (flat)."""
-        by_id: Dict[int, TraceSpan] = {}
-        order: List[TraceSpan] = []
+    def spans(self, trace_id: Optional[int] = None) -> List[Span]:
+        """Every retained span (of one trace, or all), in begin order."""
+        threads = self.threads  # append-only: a row's track is already in
+        by_id: Dict[int, Span] = {}
+        order: List[Span] = []
         instants: List[Event] = []
         for event in self.store.rows(trace=trace_id):
             if event.kind == BEGIN:
-                span = TraceSpan(trace_id=trace_id, span_id=event.span,
-                                 parent_id=event.parent, name=event.name,
-                                 start_s=event.ts,
-                                 attrs=dict(event.attrs or {}))
+                parent = by_id.get(event.parent)
+                span = Span(
+                    span_id=event.span,
+                    parent_id=parent.span_id if parent is not None else None,
+                    name=event.name, start_s=event.ts,
+                    attrs=dict(event.attrs or {}), trace_id=event.trace,
+                    depth=parent.depth + 1 if parent is not None else 0,
+                    thread=threads[int(event.value)][0])
                 by_id[event.span] = span
                 order.append(span)
             elif event.kind == END:
                 span = by_id.get(event.span)
                 if span is not None:
                     span.end_s = event.ts
+                    span.cpu_s = event.value
                     if event.attrs:
                         span.attrs.update(event.attrs)
             elif event.kind == INSTANT:
@@ -169,17 +257,16 @@ class Tracer:
                 parent.events.append(event)
         return order
 
-    def span_tree(self, trace_id: int) -> List[TraceSpan]:
+    def span_tree(self, trace_id: int) -> List[Span]:
         """Root spans of one trace, children nested."""
         order = self.spans(trace_id)
         by_id = {span.span_id: span for span in order}
-        roots: List[TraceSpan] = []
+        roots: List[Span] = []
         for span in order:
-            parent = by_id.get(span.parent_id)
-            if parent is not None:
-                parent.children.append(span)
-            else:
+            if span.parent_id is None:
                 roots.append(span)
+            else:
+                by_id[span.parent_id].children.append(span)
         return roots
 
     def complete(self, trace_id: int) -> bool:
@@ -191,105 +278,23 @@ class Tracer:
 
     def to_jsonl(self, path: str) -> int:
         """One JSON object per span (plus instants), trace-major order."""
-        n = 0
+        spans = sorted(self.spans(), key=lambda span: span.trace_id)
         with open(path, "w") as handle:
-            for trace_id in self.trace_ids():
-                for span in self.spans(trace_id):
-                    record: Dict[str, Any] = {
-                        "trace": span.trace_id, "span": span.span_id,
-                        "parent": span.parent_id, "name": span.name,
-                        "start_s": span.start_s, "end_s": span.end_s,
-                        "complete": span.complete,
-                    }
-                    if span.attrs:
-                        record["attrs"] = span.attrs
-                    if span.events:
-                        record["events"] = [
-                            {"name": e.name, "ts": e.ts,
-                             **({"attrs": e.attrs} if e.attrs else {})}
-                            for e in span.events]
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    n += 1
-        return n
-
-    #: span name -> (track id, track label); unknown names share a track.
-    _LANES: Dict[str, Tuple[int, str]] = {
-        "serve.request": (1, "requests"),
-        "serve.enqueue": (2, "queue"),
-        "serve.batch": (3, "batch"),
-        "serve.execute": (4, "execute"),
-    }
-    _OTHER_LANE = (9, "other")
-    #: first track id of the per-device lanes (spans carrying a
-    #: ``device`` attribute get one track per distinct device, in
-    #: first-seen order).
-    _DEVICE_LANE_BASE = 20
-
-    def chrome_events(self, pid: int = 10) -> List[Dict[str, Any]]:
-        """Trace Event Format events: one track per stage + flow arrows.
-
-        Spans tagged with a ``device`` attribute (pipeline stage spans)
-        each get their own track — one lane per device, labelled with
-        the device name — so a sharded plan's per-stage occupancy reads
-        like a hardware pipeline diagram in Perfetto.
-        """
-        events: List[Dict[str, Any]] = [
-            {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-             "args": {"name": "serve.trace"}},
-        ]
-        lanes_used: Dict[int, str] = {}
-        device_lanes: Dict[str, int] = {}
-        for trace_id in self.trace_ids():
-            order = self.spans(trace_id)
-            for span in order:
-                device = span.attrs.get("device")
-                if device is not None:
-                    tid = device_lanes.setdefault(
-                        str(device), self._DEVICE_LANE_BASE
-                        + len(device_lanes))
-                    label = f"device {device}"
-                else:
-                    tid, label = self._LANES.get(span.name, self._OTHER_LANE)
-                lanes_used[tid] = label
-                args: Dict[str, Any] = {"trace": span.trace_id,
-                                        "span": span.span_id}
-                args.update(span.attrs)
-                events.append({
-                    "name": span.name, "cat": "serve", "ph": "X",
-                    "pid": pid, "tid": tid,
-                    "ts": span.start_s * 1e6,
-                    "dur": max(span.wall_s, 1e-7) * 1e6,
-                    "args": args,
-                })
-                for inst in span.events:
-                    events.append({
-                        "name": inst.name, "cat": "serve", "ph": "i",
-                        "pid": pid, "tid": tid, "ts": inst.ts * 1e6,
-                        "s": "t", "args": dict(inst.attrs or {}),
-                    })
-            # flow arrows: queue -> execute hops of this request
-            hops = [s for s in order
-                    if s.name in ("serve.enqueue", "serve.execute")
-                    and s.complete]
-            for a, b in zip(hops, hops[1:]):
-                tid_a, _ = self._LANES.get(a.name, self._OTHER_LANE)
-                tid_b, _ = self._LANES.get(b.name, self._OTHER_LANE)
-                events.append({"name": "request", "cat": "serve.flow",
-                               "ph": "s", "id": trace_id, "pid": pid,
-                               "tid": tid_a, "ts": a.end_s * 1e6})
-                events.append({"name": "request", "cat": "serve.flow",
-                               "ph": "f", "bp": "e", "id": trace_id,
-                               "pid": pid, "tid": tid_b,
-                               "ts": b.start_s * 1e6})
-        for tid, label in sorted(lanes_used.items()):
-            events.append({"ph": "M", "pid": pid, "tid": tid,
-                           "name": "thread_name", "args": {"name": label}})
-        return events
-
-    def write_chrome_trace(self, path: str) -> None:
-        payload = {"traceEvents": self.chrome_events(),
-                   "displayTimeUnit": "ms",
-                   "otherData": {"tool": "repro.obs.tracing"}}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+            for span in spans:
+                record: Dict[str, Any] = {
+                    "trace": span.trace_id, "span": span.span_id,
+                    "parent": (span.parent_id if span.parent_id is not None
+                               else -1),
+                    "name": span.name,
+                    "start_s": span.start_s, "end_s": span.end_s,
+                    "complete": span.complete,
+                }
+                if span.attrs:
+                    record["attrs"] = span.attrs
+                if span.events:
+                    record["events"] = [
+                        {"name": e.name, "ts": e.ts,
+                         **({"attrs": e.attrs} if e.attrs else {})}
+                        for e in span.events]
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        return len(spans)

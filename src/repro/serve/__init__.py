@@ -48,7 +48,7 @@ from .sanitizer import (
     sanitize_enabled,
 )
 from ..obs.slo import SLOMonitor, SLOTarget
-from ..obs.tracing import Tracer, TraceSpan
+from ..obs.tracing import Tracer
 from .autoscale import Autoscaler, AutoscalePolicy, ScaleEvent
 from .clock import Clock, ManualClock, SystemClock
 from .loadgen import (
@@ -106,7 +106,6 @@ __all__ = [
     "SoakReport",
     "SystemClock",
     "TRACE_KINDS",
-    "TraceSpan",
     "Tracer",
     "Violation",
     "WorkerPool",

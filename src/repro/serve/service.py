@@ -330,10 +330,12 @@ class InferenceService:
                 f"  autoscale: {len(self.pool.scale_events)} events, "
                 f"{self.pool.workers} workers now")
         if self.tracer is not None:
-            traces = self.tracer.trace_ids()
-            complete = sum(1 for tid in traces if self.tracer.complete(tid))
+            spans = self.tracer.spans()
+            traces = {span.trace_id for span in spans}
+            open_traces = {span.trace_id for span in spans
+                           if not span.complete}
             lines.append(
                 f"  tracing  : {len(traces)} traces recorded, "
-                f"{complete} complete, {self.tracer.open_spans} spans "
-                "still open")
+                f"{len(traces - open_traces)} complete, "
+                f"{self.tracer.open_spans} spans still open")
         return "\n".join(lines)

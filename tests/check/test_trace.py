@@ -3,6 +3,7 @@
 import json
 
 from repro.check import check_trace_file
+from repro.obs import write_chrome_trace
 from repro.obs.tracing import Tracer
 
 
@@ -96,7 +97,7 @@ class TestJsonl:
 class TestChrome:
     def test_real_export_is_clean(self, tmp_path):
         path = tmp_path / "trace.json"
-        full_trace().write_chrome_trace(str(path))
+        write_chrome_trace(str(path), full_trace())
         assert check_trace_file(str(path)) == []
 
     def chrome(self, tmp_path, events):

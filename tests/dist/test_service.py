@@ -4,6 +4,7 @@ tuned-record auto-sharding, soak spot checks."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.dist import split_device
 from repro.hw.device import DEFAULT_DEVICE
 from repro.nn.zoo import toynet
@@ -78,7 +79,7 @@ class TestTraceLanes:
         assert spans, "sharded serving must emit serve.stage spans"
         devices = {s.attrs.get("device") for s in spans}
         assert devices == {d.name for d in fleet}
-        events = svc.tracer.chrome_events()
+        events = obs.chrome_trace(svc.tracer)["traceEvents"]
         lane_names = {e["args"]["name"] for e in events
                       if e.get("ph") == "M"
                       and e.get("name") == "thread_name"}

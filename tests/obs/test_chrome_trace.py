@@ -3,6 +3,7 @@
 import json
 import threading
 
+from repro.faults import FaultPlan
 from repro.hw.pipeline import StageTiming, simulate_pipeline
 from repro.obs import Registry, chrome_trace, write_chrome_trace
 
@@ -72,6 +73,26 @@ class TestChromeTrace:
         by_stage = {e["tid"]: e for e in pipe if e["args"]["item"] == 0}
         # Item 0 at stage "conv1": finished at 7 after 5 cycles -> busy [2, 7).
         assert by_stage[2]["ts"] == 2.0 and by_stage[2]["dur"] == 5.0
+
+    def test_pipeline_boxes_include_stalls(self):
+        """Each box spans [stage_begin, stage_finish], so injected stall
+        cycles are drawn and no box starts late."""
+        injector = FaultPlan.parse("stage_stall:p=0.5,cycles=9",
+                                   seed=3).injector()
+        stages = [StageTiming("a", 3), StageTiming("b", 5)]
+        schedule = simulate_pipeline(stages, 6, faults=injector)
+        registry = Registry()
+        registry.record_pipeline(schedule, name="stalled")
+        pipe = [e for e in chrome_trace(registry)["traceEvents"]
+                if e.get("cat") == "pipeline"]
+        assert len(pipe) == 12
+        for event in pipe:
+            stage, item = event["tid"] - 1, event["args"]["item"]
+            assert event["ts"] == schedule.stage_begin[item][stage]
+            assert event["ts"] + event["dur"] == \
+                schedule.stage_finish[item][stage]
+        stalled = [e for e in pipe if e["dur"] > stages[e["tid"] - 1].cycles]
+        assert len(stalled) == 5
 
     def test_pipeline_thread_names_metadata(self):
         events = chrome_trace(make_registry())["traceEvents"]

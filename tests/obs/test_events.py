@@ -1,10 +1,11 @@
 """Columnar event store: typed columns, filters, windows, eviction."""
 
-import json
+import sys
+import threading
 
 import pytest
 
-from repro.obs.events import (BEGIN, CHUNK_ROWS, END, INSTANT, POINT, Column,
+from repro.obs.events import (BEGIN, CHUNK_ROWS, END, POINT, Column,
                               EventStore)
 
 
@@ -112,18 +113,35 @@ class TestEventStore:
         assert summary["evicted_rows"] >= 1
         assert summary["totals"]["a.x"]["count"] == 10
 
-    def test_to_jsonl(self, tmp_path):
-        store = EventStore()
-        store.append("a.x", ts=0.0, value=2.0)
-        store.append("a.i", ts=1.0, kind=INSTANT, trace=3, span=4, parent=2)
-        path = tmp_path / "events.jsonl"
-        assert store.to_jsonl(str(path)) == 2
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["name"] == "a.x"
-        assert lines[0]["kind"] == "point"
-        assert lines[1]["kind"] == "instant"
-        assert lines[1]["trace"] == 3
-
     def test_default_chunk_rows(self):
         store = EventStore()
         assert store.ts.chunk_rows == CHUNK_ROWS
+
+    def test_reads_stay_aligned_under_concurrent_eviction(self):
+        """A reader racing a writer that evicts never sees a row whose
+        columns come from different rows."""
+        store = EventStore(max_rows=64, chunk_rows=8)
+        stop = threading.Event()
+
+        def write():
+            i = 0
+            while not stop.is_set():
+                store.append("a.x", ts=float(i), value=float(i), trace=i,
+                             span=i, parent=i)
+                i += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            for _ in range(300):
+                for event in store.rows():
+                    assert event.ts == event.value == event.trace \
+                        == event.span == event.parent == event.row
+        finally:
+            stop.set()
+            writer.join(10)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert store.evicted_rows > 0

@@ -31,9 +31,9 @@ class TestRegistrySpans:
             with registry.span("sibling"):
                 pass
         outer, inner, leaf, sibling = registry.spans
-        assert inner.parent_id == outer.id and inner.depth == 1
-        assert leaf.parent_id == inner.id and leaf.depth == 2
-        assert sibling.parent_id == outer.id and sibling.depth == 1
+        assert inner.parent_id == outer.span_id and inner.depth == 1
+        assert leaf.parent_id == inner.span_id and leaf.depth == 2
+        assert sibling.parent_id == outer.span_id and sibling.depth == 1
 
     def test_span_attrs_and_set(self):
         registry = Registry()

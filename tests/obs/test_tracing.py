@@ -3,6 +3,7 @@
 import json
 
 from repro.check import check_trace_file
+from repro.obs import chrome_trace, write_chrome_trace
 from repro.obs.tracing import Tracer
 
 
@@ -112,7 +113,7 @@ class TestExports:
         tracer = Tracer()
         build_request_trace(tracer, 0)
         path = tmp_path / "trace.json"
-        tracer.write_chrome_trace(str(path))
+        write_chrome_trace(str(path), tracer)
         payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         span_events = [e for e in events if e["ph"] == "X"]
@@ -123,7 +124,7 @@ class TestExports:
     def test_chrome_flow_arrows_pair_up(self, tmp_path):
         tracer = Tracer()
         build_request_trace(tracer, 0, requeue=True)
-        events = tracer.chrome_events()
+        events = chrome_trace(tracer)["traceEvents"]
         starts = [e for e in events if e["ph"] == "s"]
         ends = [e for e in events if e["ph"] == "f"]
         # enqueue -> batch -> ... hops: enqueue,enqueue,execute -> 2 arrows
@@ -133,7 +134,7 @@ class TestExports:
     def test_chrome_lane_metadata(self):
         tracer = Tracer()
         build_request_trace(tracer, 0)
-        events = tracer.chrome_events()
+        events = chrome_trace(tracer)["traceEvents"]
         labels = {e["args"]["name"] for e in events
                   if e["ph"] == "M" and e["name"] == "thread_name"}
         assert labels == {"requests", "queue", "batch", "execute"}

@@ -176,6 +176,20 @@ class TestStatsAndProfile:
         assert "explore" in span_names and "stats" in span_names
         assert any(e.get("cat") == "pipeline" for e in events)
 
+    @pytest.mark.parametrize("argv", [
+        ("stats", "toynet", "--convs", "2", "--scale", "1", "--dsp", "600"),
+        ("stats", "yolohead"),
+    ])
+    def test_stats_restores_global_registry(self, capsys, argv):
+        """Without --profile, stats records into a registry of its own and
+        leaves the global one installed and disabled afterwards."""
+        from repro import obs
+
+        before = obs.get_registry()
+        run(capsys, *argv)
+        assert obs.get_registry() is before
+        assert not obs.enabled()
+
     def test_profile_disabled_after_run(self, capsys):
         from repro import obs
 

@@ -323,7 +323,7 @@ def _explore_graph(args) -> None:
     budget = (None if args.storage_budget is None
               else args.storage_budget * 2 ** 10)
     result = explore_graph(network, strategy=strategy,
-                           storage_budget_bytes=budget, jobs=args.jobs)
+                           storage_budget_bytes=budget)
     program = result.program
     KB, MB = 2 ** 10, 2 ** 20
     shape = network.input_shape
@@ -382,7 +382,7 @@ def cmd_explore(args) -> None:
         budget = ExplorationBudget(max_evaluations=args.max_partitions,
                                    max_seconds=args.max_seconds)
     result = explore(network, num_convs=args.convs, strategy=strategy,
-                     budget=budget, jobs=args.jobs)
+                     budget=budget)
     KB, MB = 2 ** 10, 2 ** 20
     degraded = " [degraded: budget hit, best-so-far]" if result.degraded else ""
     print(f"{result.network_name}: {result.num_partitions} partitions, "
@@ -1408,9 +1408,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "and return the best-so-far frontier (degraded)")
     exp.add_argument("--max-seconds", type=float, default=None, metavar="S",
                      help="wall-clock budget for the sweep (degrades)")
-    exp.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="score partitions across N worker processes "
-                          "(1 = serial; ignored when a budget is set)")
     exp.add_argument("--json", default=None, metavar="PATH",
                      help="write the exploration summary JSON here "
                           "(Pareto front; chosen/baseline configs for "

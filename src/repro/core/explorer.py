@@ -5,10 +5,13 @@ enumerate every fusion partition, and report the storage/transfer (or
 recompute/transfer) trade-off of each. This module is the same tool over
 the :mod:`repro.nn` IR.
 
-Every partition is scored, so the cost doubles with each fusion unit. On
-a 2-vCPU VM the paper's 5-conv VGGNet-E space (64 partitions) takes
-about 5-10 ms and 10 convs (4,096 partitions) about 0.85 s; full
-VGGNet-E (2^20 partitions) takes minutes, so bound it with ``budget``.
+Every partition is scored, so the point count doubles with each fusion
+unit; the scores are sums over one table of the ``l(l+1)/2`` group
+analyses (:class:`~repro.core.partition.GroupTable`), so a point costs
+a few additions and about 300 B. On a 2-vCPU VM the paper's 5-conv
+VGGNet-E space (64 partitions) takes about 1 ms, 10 convs (4,096
+partitions) about 40 ms, and full VGGNet-E (2^20 partitions) about 20 s
+at a 580 MB peak RSS; bound larger sweeps with ``budget``.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ class ExplorationResult:
 
         Ties on both costs resolve to the earliest point in enumeration
         order — the partition index is the final sort key, so the pick
-        is stable across Python versions and serial/parallel sweeps
-        (plan-cache keys depend on it).
+        does not depend on how ``min`` orders equal keys (plan-cache
+        keys depend on it).
         """
         feasible = [(i, p) for i, p in enumerate(self.points)
                     if p.extra_storage_bytes <= budget_bytes]
@@ -104,7 +107,7 @@ def explore(network: Network, num_convs: Optional[int] = None,
             merge_pooling: bool = False,
             tip_h: int = 1, tip_w: int = 1,
             budget: Optional[ExplorationBudget] = None,
-            on_budget: str = "degrade", jobs: int = 1) -> ExplorationResult:
+            on_budget: str = "degrade") -> ExplorationResult:
     """Explore all fusion partitions of (a prefix of) a network.
 
     Parameters
@@ -130,12 +133,6 @@ def explore(network: Network, num_convs: Optional[int] = None,
         ``degraded=True`` — the graceful-degradation contract a serving
         system needs. ``"raise"``: raise
         :class:`~repro.errors.BudgetExceeded` instead.
-    jobs:
-        Number of worker processes for the partition sweep. ``1``
-        (default) runs serial; ``N > 1`` fans the scoring across a
-        process pool and returns points in the identical serial order
-        (a ``budget`` forces the serial path, which it needs for its
-        per-evaluation charging).
     """
     if on_budget not in ("degrade", "raise"):
         raise ConfigError("on_budget must be 'degrade' or 'raise'",
@@ -151,7 +148,7 @@ def explore(network: Network, num_convs: Optional[int] = None,
         with obs.span("explore.enumerate", units=len(units)):
             points = enumerate_partitions(units, strategy=strategy,
                                           tip_h=tip_h, tip_w=tip_w,
-                                          budget=budget, jobs=jobs)
+                                          budget=budget)
         degraded = budget is not None and budget.tripped
         if degraded:
             obs.add_counter("explore.degraded_searches")

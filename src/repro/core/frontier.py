@@ -18,11 +18,10 @@ through a million candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..nn.stages import FusionUnit
-from .costs import group_transfer, reuse_storage_bytes
-from .fusion import units_to_levels
+from .partition import GroupTable
 
 
 @dataclass(frozen=True)
@@ -32,19 +31,6 @@ class FrontierPoint:
     sizes: Tuple[int, ...]
     storage_bytes: int
     transfer_bytes: int
-
-
-def _group_scores(units: Sequence[FusionUnit], tip_h: int,
-                  tip_w: int) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """(storage, transfer) for every contiguous unit run [i, j)."""
-    scores: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for i in range(len(units)):
-        for j in range(i + 1, len(units) + 1):
-            levels = units_to_levels(units[i:j])
-            storage = reuse_storage_bytes(levels, tip_h, tip_w) if j - i > 1 else 0
-            transfer = group_transfer(levels).feature_map_bytes
-            scores[(i, j)] = (storage, transfer)
-    return scores
 
 
 def _prune(points: List[FrontierPoint]) -> List[FrontierPoint]:
@@ -65,21 +51,23 @@ def pareto_frontier_dp(units: Sequence[FusionUnit], tip_h: int = 1,
 
     Equivalent to Pareto-filtering
     :func:`repro.core.partition.enumerate_partitions` but polynomial in
-    practice: O(l^2) group evaluations plus front extensions, with the
-    per-prefix fronts pruned to non-dominated points.
+    practice: the O(l^2) group analyses of one
+    :class:`~repro.core.partition.GroupTable` (the sweep's own scores)
+    plus front extensions, with the per-prefix fronts pruned to
+    non-dominated points.
     """
     n = len(units)
     if n == 0:
         return []
-    scores = _group_scores(units, tip_h, tip_w)
+    table = GroupTable(units, tip_h=tip_h, tip_w=tip_w)
     # fronts[i]: Pareto-optimal partials covering units[:i].
     fronts: List[List[FrontierPoint]] = [[] for _ in range(n + 1)]
     fronts[0] = [FrontierPoint(sizes=(), storage_bytes=0, transfer_bytes=0)]
     for i in range(n):
-        if not fronts[i]:
-            continue
         for j in range(i + 1, n + 1):
-            storage, transfer = scores[(i, j)]
+            group = table[(i, j - i)]
+            storage = group.extra_storage_bytes
+            transfer = group.transfer.feature_map_bytes
             extended = [
                 FrontierPoint(
                     sizes=partial.sizes + (j - i,),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .. import obs
 from ..errors import ConfigError
@@ -85,39 +85,62 @@ class PartitionAnalysis:
         return " | ".join(g.name for g in self.groups)
 
 
+class GroupTable(Dict[Tuple[int, int], GroupAnalysis]):
+    """One sweep's group analyses, keyed by unit run ``(start, size)``.
+
+    Both Figure 7 axes are sums over groups, so scoring all ``2^(l-1)``
+    partitions needs only the ``l(l+1)/2`` contiguous unit runs. A run is
+    analyzed on first lookup and shared by every partition containing it,
+    so a budget-truncated sweep analyzes only the runs it reaches. Each
+    sweep builds its own table (there is no module-level cache).
+    """
+
+    def __init__(self, units: Sequence[FusionUnit],
+                 strategy: Strategy = Strategy.REUSE,
+                 tip_h: int = 1, tip_w: int = 1):
+        super().__init__()
+        self.units = tuple(units)
+        self.strategy = strategy
+        self.tip_h = tip_h
+        self.tip_w = tip_w
+
+    def __missing__(self, run: Tuple[int, int]) -> GroupAnalysis:
+        start, size = run
+        group = self[run] = analyze_group(
+            units_to_levels(self.units[start:start + size]),
+            strategy=self.strategy, tip_h=self.tip_h, tip_w=self.tip_w)
+        return group
+
+    def partition(self, sizes: Tuple[int, ...]) -> PartitionAnalysis:
+        """Score one partition from the table's shared entries."""
+        groups: List[GroupAnalysis] = []
+        start = 0
+        for size in sizes:
+            groups.append(self[(start, size)])
+            start += size
+        return PartitionAnalysis(sizes=sizes, groups=tuple(groups),
+                                 strategy=self.strategy)
+
+
 def analyze_partition(units: Sequence[FusionUnit], sizes: Sequence[int],
                       strategy: Strategy = Strategy.REUSE,
                       tip_h: int = 1, tip_w: int = 1) -> PartitionAnalysis:
-    """Score one partition (group sizes must sum to ``len(units)``)."""
-    if sum(sizes) != len(units):
-        raise ConfigError(f"sizes {tuple(sizes)} do not cover {len(units)} units",
+    """Score one partition (positive group sizes summing to ``len(units)``)."""
+    if sum(sizes) != len(units) or any(size <= 0 for size in sizes):
+        raise ConfigError(f"sizes {tuple(sizes)} do not partition "
+                          f"{len(units)} units",
                           sizes=tuple(sizes), units=len(units))
-    if any(size <= 0 for size in sizes):
-        raise ConfigError(f"group sizes must be positive: {tuple(sizes)}",
-                          sizes=tuple(sizes))
-    groups: List[GroupAnalysis] = []
-    start = 0
-    for size in sizes:
-        run = units[start:start + size]
-        groups.append(
-            analyze_group(units_to_levels(run), strategy=strategy, tip_h=tip_h, tip_w=tip_w)
-        )
-        start += size
-    return PartitionAnalysis(sizes=tuple(sizes), groups=tuple(groups), strategy=strategy)
-
-
-def _score_partition(args) -> PartitionAnalysis:
-    """Pool target: score one partition (module-level for picklability)."""
-    units, sizes, strategy, tip_h, tip_w = args
-    return analyze_partition(units, sizes, strategy=strategy,
-                             tip_h=tip_h, tip_w=tip_w)
+    return GroupTable(units, strategy, tip_h, tip_w).partition(tuple(sizes))
 
 
 def enumerate_partitions(units: Sequence[FusionUnit],
                          strategy: Strategy = Strategy.REUSE,
                          tip_h: int = 1, tip_w: int = 1,
-                         budget=None, jobs: int = 1) -> List[PartitionAnalysis]:
+                         budget=None) -> List[PartitionAnalysis]:
     """Score all ``2^(l-1)`` partitions of the unit sequence.
+
+    Every partition is built from one :class:`GroupTable`, so the sweep
+    makes at most ``l(l+1)/2`` group analyses and the points share them.
 
     ``budget`` (an :class:`~repro.faults.budget.ExplorationBudget`) is
     charged one evaluation per partition; once it trips, enumeration
@@ -125,39 +148,18 @@ def enumerate_partitions(units: Sequence[FusionUnit],
     returned (at least one, so a degraded search is never empty). The
     budget object's ``tripped`` flag tells the caller the sweep was cut
     short.
-
-    ``jobs > 1`` fans the scoring across a process pool (useful for
-    large unit counts — VGGNet-E at full depth is 2^20 partitions).
-    Results come back in exactly the serial enumeration order, so
-    frontiers and tie-breaks are identical serial vs parallel. A budget
-    needs the serial charge-per-evaluation loop, so ``budget`` forces
-    the serial path regardless of ``jobs``.
     """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1", jobs=jobs)
-    parallel = jobs > 1 and budget is None
+    table = GroupTable(units, strategy, tip_h, tip_w)
     with obs.span("partition.enumerate", units=len(units),
-                  strategy=strategy.name, jobs=jobs if parallel else 1) as span:
+                  strategy=strategy.name) as span:
         points: List[PartitionAnalysis] = []
-        if parallel:
-            import concurrent.futures
-
-            work = [(tuple(units), sizes, strategy, tip_h, tip_w)
-                    for sizes in compositions(len(units))]
-            chunksize = max(1, len(work) // (jobs * 8))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                points = list(pool.map(_score_partition, work,
-                                       chunksize=chunksize))
-        else:
-            for sizes in compositions(len(units)):
-                if budget is not None and points and budget.exceeded():
-                    break
-                points.append(analyze_partition(units, sizes, strategy=strategy,
-                                                tip_h=tip_h, tip_w=tip_w))
-                if budget is not None:
-                    budget.charge()
+        for sizes in compositions(len(units)):
+            if budget is not None and points and budget.exceeded():
+                break
+            points.append(table.partition(sizes))
+            if budget is not None:
+                budget.charge()
         span.set(partitions=len(points))
         obs.add_counter("partition.analyzed", len(points))
-        obs.add_counter("partition.groups_analyzed",
-                        sum(len(p.groups) for p in points))
+        obs.add_counter("partition.groups_analyzed", len(table))
     return points

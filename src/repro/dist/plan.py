@@ -156,7 +156,6 @@ class PipelinePlan:
         self.network = base.network
         self.seed = base.seed
         self.degraded = base.degraded
-        self.executor = base.executor
         self._tls = threading.local()
         if base.key.family == "linear":
             self._stage_bindings = _linear_stage_bindings(

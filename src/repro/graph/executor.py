@@ -28,13 +28,12 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConfigError
-from ..nn.layers import ConvSpec, FCSpec
 from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from ..sim import ops
 from ..sim.fused import FusedExecutor
 from ..sim.trace import TrafficTrace
-from ..sim.weights import make_input
+from ..sim.weights import make_input, param_shape
 from .explore import SegmentDecision
 from .ir import INPUT, JOIN_SPECS, EltwiseSpec, GraphNetwork
 from .lower import GraphProgram, JoinInfo, JoinStep, OpaqueStep, SegmentStep, lower_graph
@@ -66,14 +65,8 @@ def make_graph_weights(network: GraphNetwork, seed: int = 0,
     rng = np.random.default_rng(seed)
     params: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for node in network:
-        spec = node.spec
-        if isinstance(spec, ConvSpec):
-            shape = (spec.out_channels,
-                     node.input_shapes[0].channels // spec.groups,
-                     spec.kernel, spec.kernel)
-        elif isinstance(spec, FCSpec):
-            shape = (spec.out_features, node.input_shapes[0].elements)
-        else:
+        shape = param_shape(node.spec, node.input_shapes[0])
+        if shape is None:
             continue
         if integer:
             fan_in = int(np.prod(shape[1:]))
@@ -133,6 +126,32 @@ def default_decisions(program: GraphProgram) -> Tuple[SegmentDecision, ...]:
         for step in program.segments)
 
 
+def check_decisions(program: GraphProgram,
+                    decisions: Sequence[SegmentDecision]
+                    ) -> Tuple[SegmentDecision, ...]:
+    """Reject decisions that do not configure ``program``: one per
+    segment, positive group sizes covering its levels, and a fused join
+    only where the segment has one."""
+    segments = program.segments
+    decisions = tuple(decisions)
+    if len(decisions) != len(segments):
+        raise ConfigError(
+            "one decision per segment required",
+            segments=len(segments), decisions=len(decisions))
+    for step, decision in zip(segments, decisions):
+        if (sum(decision.sizes) != len(step.levels)
+                or any(size <= 0 for size in decision.sizes)):
+            raise ConfigError(
+                f"segment {step.name}: sizes {decision.sizes} do not "
+                f"cover {len(step.levels)} levels",
+                segment=step.name, sizes=decision.sizes)
+        if decision.join_fused and step.join is None:
+            raise ConfigError(
+                f"segment {step.name} has no fusable join",
+                segment=step.name)
+    return decisions
+
+
 class GraphExecutor:
     """Reference and fused execution of a :class:`GraphNetwork`.
 
@@ -172,25 +191,9 @@ class GraphExecutor:
             np.float64 if integer else np.float32)
         self.params = params if params is not None else make_graph_weights(
             network, seed=seed, integer=integer, dtype=self.dtype)
-        segments = self.program.segments
-        if decisions is None:
-            decisions = default_decisions(self.program)
-        decisions = tuple(decisions)
-        if len(decisions) != len(segments):
-            raise ConfigError(
-                "one decision per segment required",
-                segments=len(segments), decisions=len(decisions))
-        for step, decision in zip(segments, decisions):
-            if sum(decision.sizes) != len(step.levels):
-                raise ConfigError(
-                    f"segment {step.name}: sizes {decision.sizes} do not "
-                    f"cover {len(step.levels)} levels",
-                    segment=step.name, sizes=decision.sizes)
-            if decision.join_fused and step.join is None:
-                raise ConfigError(
-                    f"segment {step.name} has no fusable join",
-                    segment=step.name)
-        self.decisions = decisions
+        self.decisions = check_decisions(
+            self.program, decisions if decisions is not None
+            else default_decisions(self.program))
         self._tip = tip
         self._faults = faults
         self._retry = retry

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.fusion import Strategy
-from ..core.partition import PartitionAnalysis, analyze_partition, enumerate_partitions
+from ..core.partition import PartitionAnalysis, enumerate_partitions
 from ..errors import ConfigError
 from ..nn.stages import independent_units
 from .ir import GraphNetwork
@@ -219,7 +219,6 @@ def explore_graph(network: GraphNetwork,
                   strategy: Strategy = Strategy.REUSE,
                   tip: int = 1,
                   storage_budget_bytes: Optional[int] = None,
-                  jobs: int = 1,
                   program: Optional[GraphProgram] = None) -> GraphExplorationResult:
     """Branch-aware exploration: per-segment partition sweeps plus the
     greedy join/storage ascent described in the module docstring."""
@@ -232,13 +231,16 @@ def explore_graph(network: GraphNetwork,
     with obs.span("graph.explore", network=network.name,
                   segments=len(segments), strategy=strategy.name):
         candidates: List[List[SegmentChoice]] = []
+        lbl: List[SegmentChoice] = []
         for step in segments:
             tip_h, tip_w = segment_tip(step, tip)
             points = enumerate_partitions(independent_units(step.levels),
                                           strategy=strategy,
-                                          tip_h=tip_h, tip_w=tip_w, jobs=jobs)
+                                          tip_h=tip_h, tip_w=tip_w)
             options = [SegmentChoice(step=step, analysis=p, join_fused=False)
                        for p in points]
+            # compositions end with the layer-by-layer (1, ..., 1) split
+            lbl.append(options[-1])
             if step.join is not None:
                 options.extend(SegmentChoice(step=step, analysis=p,
                                              join_fused=True)
@@ -250,22 +252,14 @@ def explore_graph(network: GraphNetwork,
         boundary_only = [[c for c in options if not c.join_fused]
                          for options in candidates]
         all_boundary = _select(boundary_only, storage_budget_bytes)
-        lbl = tuple(
-            SegmentChoice(step=step,
-                          analysis=analyze_partition(
-                              independent_units(step.levels),
-                              (1,) * len(step.levels), strategy=strategy,
-                              tip_h=segment_tip(step, tip)[0],
-                              tip_w=segment_tip(step, tip)[1]),
-                          join_fused=False)
-            for step in segments)
     return GraphExplorationResult(
         network=network, program=program, strategy=strategy, tip=tip,
         storage_budget_bytes=storage_budget_bytes,
         chosen=GraphConfig(choices=chosen, fixed_transfer_bytes=fixed),
         all_boundary=GraphConfig(choices=all_boundary,
                                  fixed_transfer_bytes=fixed),
-        layer_by_layer=GraphConfig(choices=lbl, fixed_transfer_bytes=fixed))
+        layer_by_layer=GraphConfig(choices=tuple(lbl),
+                                   fixed_transfer_bytes=fixed))
 
 
 def _select(candidates: List[List[SegmentChoice]],

@@ -3,12 +3,14 @@
 :class:`CompiledGraphPlan` is the DAG counterpart of
 :class:`repro.serve.plan.CompiledPlan`: it freezes a branch-aware
 configuration — one :class:`~repro.graph.explore.SegmentDecision` per
-fusion segment (group sizes + join policy) — plus deterministic weights,
-so the :func:`~repro.graph.explore.explore_graph` sweep runs once and
-every request just executes. Its :class:`~repro.serve.plan.PlanKey`
-carries ``family="graph"``, so a DAG plan can never alias a linear plan
-even if their fingerprints collided; restoring from a saved dict
-performs **zero exploration work** (the decisions are stored verbatim).
+fusion segment (group sizes + join policy) — plus the weight seed, so
+the :func:`~repro.graph.explore.explore_graph` sweep runs once and every
+request just executes (deterministic weights are built on the first).
+Its :class:`~repro.serve.plan.PlanKey` carries ``family="graph"``, so a
+DAG plan can never alias a linear plan even if their fingerprints
+collided; restoring from a saved dict performs **zero exploration
+work** (the decisions are stored verbatim and checked against the
+lowered program).
 
 The serving stack dispatches here automatically:
 ``compile_plan``/``PlanCache.get_or_compile`` route any network with
@@ -20,6 +22,7 @@ caches mix both families transparently.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +32,8 @@ from .. import obs
 from ..core.fusion import Strategy
 from ..errors import ConfigError
 from ..serve.plan import PlanKey, make_plan_key
-from .executor import GraphExecutor
+from ..sim.weights import param_bytes
+from .executor import GraphExecutor, check_decisions
 from .explore import SegmentDecision, explore_graph
 from .ir import GraphNetwork
 from .lower import lower_graph
@@ -54,15 +58,20 @@ class CompiledGraphPlan:
         self.key = key
         self.network = network
         self.program = lower_graph(network)
-        self.decisions = tuple(decisions)
+        self.decisions = check_decisions(self.program, decisions)
         self.seed = seed
         self.degraded = degraded
         self.compile_s = compile_s
-        # tip=None executes one pyramid per fused group — the fastest
-        # path, and bit-identical for any tip in integer mode.
-        self.executor = GraphExecutor(
-            network, decisions=self.decisions, seed=seed,
-            integer=key.precision == "int", tip=None, program=self.program)
+
+    @functools.cached_property
+    def executor(self) -> GraphExecutor:
+        """Built on first use, so compiling or loading allocates no
+        weights. ``tip=None`` runs one pyramid per fused group: fastest,
+        and bit-identical for any tip in integer mode."""
+        return GraphExecutor(
+            self.network, decisions=self.decisions, seed=self.seed,
+            integer=self.key.precision == "int", tip=None,
+            program=self.program)
 
     @property
     def partition_sizes(self) -> Tuple[int, ...]:
@@ -81,9 +90,11 @@ class CompiledGraphPlan:
     @property
     def byte_size(self) -> int:
         """Resident bytes the cache charges this plan for (weights + one
-        input volume)."""
-        weights = sum(w.nbytes + b.nbytes
-                      for w, b in self.executor.params.values())
+        input volume), from parameter shapes: the executor stays unbuilt."""
+        # GraphExecutor stores integer-mode weights as float64
+        weights = param_bytes(((node.spec, node.input_shapes[0])
+                               for node in self.network),
+                              8 if self.key.precision == "int" else 4)
         shape = self.network.input_shape
         return weights + shape.elements * 8
 
@@ -128,7 +139,6 @@ def compile_graph_plan(network: GraphNetwork,
                        storage_budget_bytes: Optional[int] = None,
                        precision: str = "int", seed: int = 0,
                        decisions: Optional[Sequence[SegmentDecision]] = None,
-                       jobs: int = 1,
                        validate: bool = True) -> CompiledGraphPlan:
     """Compile a DAG network into an executable plan.
 
@@ -150,8 +160,7 @@ def compile_graph_plan(network: GraphNetwork,
                   family="graph"):
         if decisions is None:
             result = explore_graph(network, strategy=strategy, tip=tip,
-                                   storage_budget_bytes=storage_budget_bytes,
-                                   jobs=jobs)
+                                   storage_budget_bytes=storage_budget_bytes)
             chosen = result.chosen.decisions
         else:
             chosen = tuple(decisions)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 
 from ..errors import ConfigError
+from .sanitizer import make_lock
 
 
 class Clock:
@@ -48,6 +49,8 @@ class ManualClock(Clock):
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
+        # a service's worker threads all sleep on (advance) one clock
+        self._lock = make_lock("serve.clock.manual")
 
     def now(self) -> float:
         return self._now
@@ -59,14 +62,16 @@ class ManualClock(Clock):
         if seconds < 0:
             raise ConfigError("cannot advance a clock backwards",
                               seconds=seconds)
-        self._now += seconds
-        return self._now
+        with self._lock:
+            self._now += seconds
+            return self._now
 
     def advance_to(self, t: float) -> float:
         """Jump forward to absolute time ``t`` (no-op when in the past)."""
-        if t > self._now:
-            self._now = t
-        return self._now
+        with self._lock:
+            if t > self._now:
+                self._now = t
+            return self._now
 
 
 #: Shared default so components constructed without an explicit clock

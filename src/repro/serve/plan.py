@@ -5,8 +5,9 @@ online fused evaluation (Section V-A); a serving system makes the same
 split explicit. A :class:`CompiledPlan` freezes everything needed to
 execute one network — the chosen fusion partition (from
 :func:`repro.core.explore` or an explicit spec), the per-group pyramid
-geometry, and deterministic weights — so the expensive search runs once
-per (network, configuration) and every subsequent request just executes.
+geometry, and the weight seed — so the expensive search runs once per
+(network, configuration) and every subsequent request just executes.
+Deterministic weights are built on a plan's first execution.
 
 A :class:`PlanCache` memoizes compilation keyed on
 :class:`PlanKey` = (network fingerprint, strategy, tip, storage budget,
@@ -22,6 +23,7 @@ chosen partition, so a restored plan performs **zero exploration work**
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from collections import OrderedDict
@@ -32,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..core.explorer import explore
-from ..core.fusion import Strategy, analyze_group, units_to_levels
+from ..core.fusion import Strategy, units_to_levels
 from ..core.pyramid import PyramidGeometry, build_pyramid
 from ..errors import ConfigError
 from ..faults.budget import ExplorationBudget
@@ -49,6 +51,7 @@ from ..nn.network import Network
 from ..nn.shapes import TensorShape
 from ..nn.stages import extract_levels, independent_units
 from ..sim.network_exec import NetworkExecutor
+from ..sim.weights import param_bytes
 from .sanitizer import make_lock
 
 PRECISIONS = ("int", "float")
@@ -147,8 +150,10 @@ class CompiledPlan:
     """A frozen, executable configuration for one network.
 
     Holds the network, its chosen fusion partition and per-group pyramid
-    geometry, and the executor (deterministic weights per ``seed``).
-    Execution is :meth:`NetworkExecutor.run_batch`: one stacked call per
+    geometry. The executor (deterministic weights per ``seed``) is built
+    on first use, so a plan that is compiled, cached or loaded but never
+    executed holds no weights. Execution is
+    :meth:`NetworkExecutor.run_batch`: one stacked call per
     layer when ``"int"`` precision meets an exactness-preserving network
     (see :func:`~repro.sim.network_exec.preserves_exact_arithmetic`), the
     per-item loop otherwise — bit-identical to per-item runs either way.
@@ -166,15 +171,21 @@ class CompiledPlan:
         self.seed = seed
         self.degraded = degraded
         self.compile_s = compile_s
-        self.executor = NetworkExecutor(network, seed=seed,
-                                        integer=key.precision == "int")
+
+    @functools.cached_property
+    def executor(self) -> NetworkExecutor:
+        """Built on first use, so compiling or loading a plan allocates
+        no weights."""
+        return NetworkExecutor(self.network, seed=self.seed,
+                               integer=self.key.precision == "int")
 
     @property
     def byte_size(self) -> int:
         """Resident bytes the cache charges this plan for (weights + one
-        input volume)."""
-        weights = sum(w.nbytes + b.nbytes
-                      for w, b in self.executor.params.values())
+        input volume), from parameter shapes: the executor stays unbuilt."""
+        # make_network_weights stores float32 in either precision
+        weights = param_bytes(((b.spec, b.input_shape) for b in self.network),
+                              4)
         shape = self.network.input_shape
         return weights + shape.elements * 8
 
@@ -237,7 +248,7 @@ def _partition_geometry(network: Network, sizes: Tuple[int, ...],
                         tip: int) -> Tuple[PyramidGeometry, ...]:
     """Pyramid geometry for each fused group of the chosen partition."""
     units = independent_units(extract_levels(network.feature_extractor()))
-    if sum(sizes) != len(units):
+    if sum(sizes) != len(units) or any(size <= 0 for size in sizes):
         raise ConfigError("partition does not cover the network's fusion units",
                           sizes=sizes, units=len(units),
                           network=network.name)
@@ -263,7 +274,7 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
                  budget: Optional[ExplorationBudget] = None,
                  on_budget: str = "degrade",
                  partition_sizes: Optional[Sequence[int]] = None,
-                 jobs: int = 1, tuned: Optional[Any] = None,
+                 tuned: Optional[Any] = None,
                  validate: bool = True,
                  devices: Optional[Sequence[Any]] = None,
                  link: Optional[Any] = None,
@@ -277,8 +288,8 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
     fits). ``budget`` bounds that search; a budget-truncated sweep still
     compiles, with ``degraded=True`` recorded on the plan. With
     ``partition_sizes`` (an explicit spec, or a cache restore) no
-    exploration runs at all — only the single chosen partition is
-    re-analyzed for geometry.
+    exploration runs at all — only the chosen partition's geometry is
+    built.
 
     ``tuned`` accepts a :class:`repro.tune.TunedRecord` (anything with
     ``fingerprint``/``objective``/``partition_sizes``/``strategy``/
@@ -327,7 +338,7 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
             validate=validate, strategy=strategy, tip=tip,
             storage_budget_bytes=storage_budget_bytes, precision=precision,
             seed=seed, budget=budget, on_budget=on_budget,
-            partition_sizes=partition_sizes, jobs=jobs, tuned=tuned)
+            partition_sizes=partition_sizes, tuned=tuned)
     if getattr(network, "plan_family", "linear") == "graph":
         if tuned is not None or partition_sizes is not None:
             raise ConfigError(
@@ -338,7 +349,7 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
         return compile_graph_plan(
             network, strategy=strategy, tip=tip,
             storage_budget_bytes=storage_budget_bytes, precision=precision,
-            seed=seed, jobs=jobs, validate=validate)
+            seed=seed, validate=validate)
     variant = "default"
     if tuned is not None:
         fingerprint = network.fingerprint()
@@ -359,7 +370,7 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
     with obs.span("serve.compile", network=network.name, key=str(key)):
         if partition_sizes is None:
             result = explore(network, strategy=strategy, tip_h=tip, tip_w=tip,
-                             budget=budget, on_budget=on_budget, jobs=jobs)
+                             budget=budget, on_budget=on_budget)
             chosen = None
             if storage_budget_bytes is not None:
                 chosen = result.best_under_storage(storage_budget_bytes)
@@ -372,20 +383,6 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
             degraded = result.degraded
         else:
             sizes = tuple(int(s) for s in partition_sizes)
-            units = independent_units(
-                extract_levels(network.feature_extractor()))
-            if sum(sizes) != len(units):
-                raise ConfigError(
-                    "partition does not cover the network's fusion units",
-                    sizes=sizes, units=len(units), network=network.name)
-            start = 0
-            for size in sizes:
-                levels = units_to_levels(units[start:start + size])
-                final = levels[-1].out_shape
-                analyze_group(levels, strategy=strategy,
-                              tip_h=min(tip, final.height),
-                              tip_w=min(tip, final.width))
-                start += size
         geometry = _partition_geometry(network, tuple(sizes), tip)
     plan = CompiledPlan(key=key, network=network,
                         partition_sizes=tuple(sizes), geometry=geometry,
@@ -478,7 +475,6 @@ class PlanCache:
                        precision: str = "int", seed: int = 0,
                        budget: Optional[ExplorationBudget] = None,
                        on_budget: str = "degrade",
-                       jobs: int = 1,
                        tuned: Optional[Any] = None,
                        partition_sizes: Optional[Sequence[int]] = None,
                        devices: Optional[Sequence[Any]] = None,
@@ -520,7 +516,7 @@ class PlanCache:
         plan = compile_plan(network, strategy=strategy, tip=tip,
                             storage_budget_bytes=storage_budget_bytes,
                             precision=precision, seed=seed, budget=budget,
-                            on_budget=on_budget, jobs=jobs, tuned=tuned,
+                            on_budget=on_budget, tuned=tuned,
                             partition_sizes=partition_sizes,
                             devices=devices, link=link,
                             weight_items=weight_items)
@@ -566,9 +562,10 @@ class PlanCache:
     def load(self, path) -> int:
         """Merge plans from ``path`` into the cache; returns the count.
 
-        Restored plans rebuild their network, weights, and geometry from
-        the saved description — no exploration work runs, so a warmed
-        cache serves its first request as cheaply as its thousandth.
+        Restored plans rebuild their network and geometry from the saved
+        description and reject a partition or decisions that do not fit
+        it. No exploration work runs and no weights are built: each plan
+        builds its weights on its first execution.
         """
         with open(path) as handle:
             payload = json.load(handle)

@@ -216,13 +216,11 @@ class WorkerPool:
         return event
 
     def _supervise(self) -> None:
-        import time
-
         while True:
             if self.scheduler.closed and self.scheduler.depth == 0:
                 return
             self.scale_tick()
-            time.sleep(self.tick_s)
+            self.clock.sleep(self.tick_s)
 
     def _should_retire(self, wid: int) -> bool:
         """Scale-down retirement: seats at/above the target count exit."""
@@ -281,8 +279,6 @@ class WorkerPool:
 
     def _execute_batch(self, wid: int, batch: List[ServeRequest],
                        clients: Dict[Any, _ProcessClient]) -> None:
-        import time
-
         plan = self.resolve_plan(batch[0].key)
         # Trace: the queue stint ends here; the batch span opens before
         # the crash hook so a dying worker leaves spans the requeue path
@@ -297,7 +293,7 @@ class WorkerPool:
         if self.fail_hook is not None:
             self.fail_hook(wid, batch)
         execute = self._executor_for(plan, clients)
-        t0 = time.perf_counter()
+        t0 = self.clock.now()  # the clock that stamped enqueued_s
         queue_waits = [t0 - r.enqueued_s for r in batch]
         exec_spans: Dict[int, int] = {}
         for request in batch:
@@ -308,7 +304,7 @@ class WorkerPool:
         with obs.span("serve.batch", worker=wid, size=len(batch),
                       network=plan.network.name):
             outs = self._run_with_retry(plan, execute, batch, exec_spans)
-        exec_s = time.perf_counter() - t0
+        exec_s = self.clock.now() - t0
         self._trace_stages(plan, batch, exec_spans)
         # feed the admission controller's service-rate EWMA (estimated
         # wait watermark + retry-after hints)
@@ -393,10 +389,10 @@ class WorkerPool:
         ``dram_stall`` faults hit the same per-request sites: a tripped
         stall holds the result for ``cycles``
         × ``stall_s_per_cycle`` wall seconds — the latency burst an SLO
-        monitor must catch — without touching the payload.
+        monitor must catch — without touching the payload. The stall
+        sleeps on the pool's clock, so a :class:`ManualClock` pool
+        advances virtual time instead of blocking.
         """
-        import time
-
         xs = [r.x for r in batch]
         outs: List = list(execute(xs))
         injector = self.faults
@@ -428,5 +424,5 @@ class WorkerPool:
                         "serve.stall", request.trace_id,
                         parent_id=exec_spans.get(rid, -1),
                         value=float(stall_cycles), cycles=stall_cycles)
-                time.sleep(stall_cycles * self.stall_s_per_cycle)
+                self.clock.sleep(stall_cycles * self.stall_s_per_cycle)
         return outs

@@ -9,13 +9,15 @@ compared bit-exactly (float32 summation order differences vanish).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import math
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import ConvSpec, FCSpec
+from ..nn.layers import ConvSpec, FCSpec, LayerSpec
 from ..errors import ConfigError
 from ..nn.network import Network
+from ..nn.shapes import TensorShape
 from ..nn.stages import Level
 
 
@@ -127,6 +129,26 @@ def load_params(path, levels=None,
     return params
 
 
+def param_shape(spec: LayerSpec,
+                input_shape: TensorShape) -> Optional[Tuple[int, ...]]:
+    """Weight-tensor shape of a conv or FC layer (its bias is
+    ``shape[:1]``); ``None`` for a layer without parameters."""
+    if isinstance(spec, ConvSpec):
+        return (spec.out_channels, input_shape.channels // spec.groups,
+                spec.kernel, spec.kernel)
+    if isinstance(spec, FCSpec):
+        return (spec.out_features, input_shape.elements)
+    return None
+
+
+def param_bytes(layers: Iterable[Tuple[LayerSpec, TensorShape]],
+                itemsize: int) -> int:
+    """Bytes the weights and biases of ``(spec, input_shape)`` layers take
+    at ``itemsize`` bytes a value, computed without allocating them."""
+    shapes = [param_shape(spec, input_shape) for spec, input_shape in layers]
+    return sum(math.prod(s) + s[0] for s in shapes if s) * itemsize
+
+
 def make_network_weights(network: Network, seed: int = 0,
                          integer: bool = False) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Weights for every parameterized layer of a full network (conv + FC)."""
@@ -134,16 +156,8 @@ def make_network_weights(network: Network, seed: int = 0,
     params: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for binding in network:
         spec = binding.spec
-        if isinstance(spec, ConvSpec):
-            shape = (
-                spec.out_channels,
-                binding.input_shape.channels // spec.groups,
-                spec.kernel,
-                spec.kernel,
-            )
-        elif isinstance(spec, FCSpec):
-            shape = (spec.out_features, binding.input_shape.elements)
-        else:
+        shape = param_shape(spec, binding.input_shape)
+        if shape is None:
             continue
         if integer:
             w = rng.integers(-2, 3, size=shape).astype(np.float32)

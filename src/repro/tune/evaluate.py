@@ -18,9 +18,8 @@ hardware layer itself:
   :mod:`repro.hw.resources`.
 
 Evaluation is deterministic and side-effect free, so results memoize on
-:meth:`Candidate.key` and fan out across processes
-(:func:`evaluate_batch`, the same sharding pattern as
-``explore(jobs=N)``). :func:`lower_bounds` gives the cheap analytical
+:meth:`Candidate.key` and can fan out across processes
+(:func:`evaluate_batch`). :func:`lower_bounds` gives the cheap analytical
 floor per metric that bound-based pruning compares against the
 incumbent before paying for a full build.
 """
@@ -402,8 +401,7 @@ def evaluate_batch(ctx: EvalContext, candidates: Sequence[Candidate],
     """Price a generation, optionally fanned across worker processes.
 
     Results come back in candidate order regardless of ``jobs``, so a
-    parallel tuning run is bit-identical to a serial one (the same
-    guarantee ``explore(jobs=N)`` makes).
+    parallel tuning run is bit-identical to a serial one.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1", jobs=jobs)

@@ -1,46 +1,9 @@
-"""Parallel exploration and tie-break determinism."""
+"""Tie-break determinism of the explorer's budgeted picks."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import Strategy, explore
+from repro.core import Strategy
 from repro.core.explorer import ExplorationResult
-from repro.errors import ConfigError
-from repro.faults import ExplorationBudget
-from repro.nn.zoo import alexnet, toynet
-
-
-def _snapshot(result):
-    return [(p.sizes, p.feature_transfer_bytes, p.extra_storage_bytes)
-            for p in result.points]
-
-
-class TestParallelSweep:
-    @pytest.mark.parametrize("strategy", [Strategy.REUSE, Strategy.RECOMPUTE])
-    def test_parallel_frontier_identical_to_serial(self, strategy):
-        network = alexnet()
-        serial = explore(network, num_convs=5, strategy=strategy, jobs=1)
-        parallel = explore(network, num_convs=5, strategy=strategy, jobs=2)
-        assert _snapshot(serial) == _snapshot(parallel)
-        assert ([p.sizes for p in serial.front]
-                == [p.sizes for p in parallel.front])
-
-    def test_jobs_one_is_the_serial_path(self):
-        result = explore(toynet(), jobs=1)
-        assert result.num_partitions == 2
-
-    def test_budget_forces_the_serial_path(self):
-        # a budget needs per-evaluation charging, so the sweep stays
-        # serial (and still degrades correctly) whatever jobs says
-        result = explore(alexnet(), num_convs=5,
-                         budget=ExplorationBudget(max_evaluations=3), jobs=4)
-        assert result.degraded
-        assert result.num_partitions == 3
-
-    def test_invalid_jobs_is_diagnosed(self):
-        with pytest.raises(ConfigError):
-            explore(toynet(), jobs=0)
 
 
 class _TiedPoint:

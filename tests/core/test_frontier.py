@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import alexnet, extract_levels, vggnet_e
+from repro import alexnet, extract_levels, googlenet_stem, vggnet_e, zfnet
 from repro.core.explorer import explore
 from repro.core.frontier import pareto_frontier_dp
 from repro.nn.stages import extract_levels as _extract, independent_units
+from repro.nn.stages import pooling_merged_units
 
 MB = 2 ** 20
 KB = 2 ** 10
@@ -29,6 +30,21 @@ class TestAgainstBruteForce:
         dp = pareto_frontier_dp(units)
         assert {(p.storage_bytes, p.transfer_bytes) for p in dp} == \
             brute_force_front(alexnet())
+
+    @pytest.mark.parametrize("network, num_convs", [
+        (alexnet(), None), (zfnet(), None), (googlenet_stem(), None),
+        (vggnet_e(), 7)], ids=["alexnet", "zfnet", "googlenet_stem", "vgg7"])
+    def test_pooling_merged_front_identical(self, network, num_convs):
+        """A merged conv+pool unit is two levels, so alone it still
+        charges BL/BT storage; the DP must score it as explore does."""
+        result = explore(network, num_convs=num_convs, merge_pooling=True)
+        units = pooling_merged_units(extract_levels(
+            network.prefix(num_convs) if num_convs else network))
+        assert units == list(result.units)
+        dp = pareto_frontier_dp(units)
+        assert [(p.sizes, p.storage_bytes, p.transfer_bytes) for p in dp] == \
+            [(p.sizes, p.extra_storage_bytes, p.feature_transfer_bytes)
+             for p in result.front]
 
     def test_sizes_are_valid_partitions(self):
         units = independent_units(extract_levels(vggnet_e().prefix(5)))

@@ -1,11 +1,16 @@
 """Partition enumeration and scoring (Section V-B)."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import Strategy, extract_levels, vggnet_e
+from repro import Strategy, explore, extract_levels, obs, toynet, vgg16, vggnet_e
+from repro.core import analyze_group, partition, units_to_levels
 from repro.core.partition import analyze_partition, compositions, enumerate_partitions
+from repro.faults import ExplorationBudget
 from repro.nn.stages import independent_units
 
 MB = 2 ** 20
@@ -99,3 +104,77 @@ class TestEnumeratePartitions:
         points = {p.sizes: p for p in enumerate_partitions(vgg5_units)}
         assert points[(1,) * 7].feature_transfer_bytes / MB == pytest.approx(86.3, abs=0.1)
         assert points[(7,)].feature_transfer_bytes / MB == pytest.approx(3.64, abs=0.01)
+
+
+@pytest.fixture()
+def analyses(monkeypatch):
+    """Counts the group analyses a sweep makes through ``partition``'s
+    own ``analyze_group`` binding."""
+    made = []
+    real = partition.analyze_group
+
+    def counted(levels, **kwargs):
+        made.append(tuple(level.name for level in levels))
+        return real(levels, **kwargs)
+
+    monkeypatch.setattr(partition, "analyze_group", counted)
+    return made
+
+
+class TestGroupTable:
+    """One sweep analyzes each contiguous unit run once."""
+
+    def test_full_sweep_analyzes_each_run_once(self, analyses):
+        units = independent_units(extract_levels(
+            vgg16(include_classifier=False).prefix(11)))
+        assert len(units) == 15
+        with obs.capture() as registry:
+            points = enumerate_partitions(units)
+        assert len(points) == 2 ** 14
+        # l(l+1)/2 runs, where scoring each group of each partition
+        # anew would take 131,072 analyses
+        assert len(analyses) == len(set(analyses)) == 15 * 16 // 2
+        assert registry.counters["partition.groups_analyzed"] == 120
+
+    def test_budgeted_sweep_analyzes_only_the_runs_it_reaches(self, analyses):
+        units = independent_units(extract_levels(
+            vgg16(include_classifier=False).prefix(11)))
+        budget = ExplorationBudget(max_evaluations=3)
+        budget.start()
+        points = enumerate_partitions(units, budget=budget)
+        assert [p.sizes for p in points] == [(15,), (1, 14), (2, 13)]
+        assert len(analyses) == 5  # (0,15), (0,1), (1,14), (0,2), (2,13)
+
+    def test_partitions_share_group_entries(self, vgg5_units):
+        points = {p.sizes: p for p in enumerate_partitions(vgg5_units)}
+        assert points[(3, 4)].groups[0] is points[(3, 1, 3)].groups[0]
+        assert points[(1,) * 7].groups[6] is points[(6, 1)].groups[1]
+
+    @pytest.mark.parametrize("network, strategy", [
+        (vggnet_e().prefix(5), Strategy.REUSE),
+        (toynet(), Strategy.RECOMPUTE)])
+    def test_points_equal_group_by_group_analysis(self, network, strategy):
+        units = independent_units(extract_levels(network))
+        for point in enumerate_partitions(units, strategy=strategy):
+            start = 0
+            for size, group in zip(point.sizes, point.groups):
+                run = units_to_levels(units[start:start + size])
+                assert group == analyze_group(run, strategy=strategy)
+                start += size
+
+    def test_sweep_memory_per_partition_is_bounded(self):
+        network = vggnet_e()
+        explore(network, num_convs=9)  # warm imports and shape caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = explore(network, num_convs=9)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.num_partitions == 2048
+        # one PartitionAnalysis per point, its groups shared through the
+        # sweep's table (about 3.3 KB a point when each was analyzed anew)
+        assert held / result.num_partitions < 1024

@@ -8,6 +8,8 @@ transparently (including in process-mode workers, which rebuild plans
 from exactly these dicts).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.graph import (
     GraphExecutor,
     compile_graph_plan,
     resnet18,
+    yolo_head,
 )
 from repro.nn.zoo import toynet
 from repro.serve import InferenceService, PlanCache
@@ -115,6 +118,64 @@ class TestPersistence:
         path = tmp_path / "plans.json"
         cache.save(path)
         assert check_plan_cache_file(path) == []
+
+
+class TestLazyExecutor:
+    """Compiling or loading a graph plan builds no executor (no weights);
+    whatever the executor would reject is still rejected up front."""
+
+    @pytest.mark.parametrize("precision", ["int", "float"])
+    def test_byte_size_needs_no_weights(self, precision):
+        plan = compile_graph_plan(tiny_residual(), precision=precision)
+        restored = CompiledPlan.from_dict(plan.to_dict())
+        size = restored.byte_size
+        assert "executor" not in vars(plan) and "executor" not in vars(restored)
+        weights = sum(w.nbytes + b.nbytes
+                      for w, b in restored.executor.params.values())
+        assert size == weights + restored.network.input_shape.elements * 8
+
+    def test_threads_first_executing_a_fresh_plan(self):
+        plan = compile_graph_plan(tiny_residual(), seed=3)
+        reference = GraphExecutor(plan.network, seed=3)
+        xs = [reference.make_input(seed=s) for s in (1, 2, 3)]
+        want = [reference.run_reference(x) for x in xs]
+        start = threading.Barrier(4)  # four threads race the first build
+        got = [None] * 4
+
+        def first_use(slot):
+            start.wait()
+            got[slot] = plan.execute(xs)
+
+        threads = [threading.Thread(target=first_use, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for outs in got:
+            assert all(np.array_equal(o, w) for o, w in zip(outs, want))
+
+    @pytest.mark.parametrize("tamper", [
+        "uncovered", "zero_size", "negative_size", "missing", "join"])
+    def test_bad_saved_decision_fails_at_from_dict(self, tamper):
+        data = compile_plan(yolo_head()).to_dict()
+        decisions = data["decisions"]
+        first = decisions[0]
+        levels = sum(first["sizes"])
+        if tamper == "uncovered":
+            first["sizes"] = first["sizes"] + [1]
+        elif tamper == "zero_size":
+            first["sizes"] = [0, levels]
+        elif tamper == "negative_size":
+            first["sizes"] = [-1, levels + 1]
+        elif tamper == "missing":
+            decisions.pop()
+        else:
+            joinless = next(d for d in decisions if not d["join_fused"])
+            joinless["join_fused"] = True
+        with pytest.raises(ConfigError):
+            CompiledPlan.from_dict(data)
 
 
 class TestValidation:

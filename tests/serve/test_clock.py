@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -38,6 +40,29 @@ class TestManualClock:
     def test_negative_advance_is_diagnosed(self):
         with pytest.raises(ConfigError):
             ManualClock().advance(-0.1)
+
+    def test_concurrent_sleeps_lose_no_time(self):
+        # the worker threads of a ManualClock service all sleep on it
+        clock = ManualClock()
+        start = threading.Barrier(4)
+
+        def sleeper():
+            start.wait()
+            for _ in range(20_000):
+                clock.sleep(1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sleeper) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert clock.now() == 80_000.0
 
 
 class TestSystemClock:

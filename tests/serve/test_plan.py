@@ -123,6 +123,50 @@ class TestCompilePlan:
             assert np.array_equal(out, ref)
 
 
+class TestLazyExecutor:
+    """Plans build their executor, and so their weights, on first use."""
+
+    def test_compile_and_load_build_no_weights(self, tmp_path):
+        cache = PlanCache(max_bytes=2 ** 30)
+        plan = cache.get_or_compile(nin_cifar())
+        plan.describe()
+        path = tmp_path / "plans.json"
+        cache.save(path)
+        warmed = PlanCache(max_bytes=2 ** 30)
+        warmed.load(path)
+        restored = warmed.lookup(plan.key)
+        assert warmed.total_bytes == cache.total_bytes == plan.byte_size
+        assert "executor" not in vars(plan)
+        assert "executor" not in vars(restored)
+
+    @pytest.mark.parametrize("precision", ["int", "float"])
+    def test_byte_size_equals_the_built_weights(self, precision):
+        plan = compile_plan(nin_cifar(), precision=precision)
+        size = plan.byte_size
+        weights = sum(w.nbytes + b.nbytes
+                      for w, b in plan.executor.params.values())
+        assert size == weights + plan.network.input_shape.elements * 8
+
+    def test_threads_first_executing_a_fresh_plan(self, net, inputs, golden):
+        plan = compile_plan(net)
+        start = threading.Barrier(4)  # four threads race the first build
+        got = [None] * 4
+
+        def first_use(slot):
+            start.wait()
+            got[slot] = plan.execute(inputs)
+
+        threads = [threading.Thread(target=first_use, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for outs in got:
+            assert all(np.array_equal(o, g) for o, g in zip(outs, golden))
+
+
 class TestPlanCache:
     def test_miss_then_hit(self, net):
         cache = PlanCache()

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.errors import ServeOverloadError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.serve import InferenceService
+from repro.serve import InferenceService, ManualClock
 
 
 def traced_service(net, **kw):
@@ -165,8 +165,10 @@ class TestCrashPropagation:
 
 class TestSLOAcceptance:
     def serve(self, net, inputs, faults):
+        # virtual time: latencies are the injected stalls alone, so no
+        # host hiccup can push the clean run over the 5 ms target
         svc = InferenceService(net, workers=2, max_batch=8, slo=5.0,
-                               faults=faults)
+                               faults=faults, clock=ManualClock())
         for future in svc.submit_batch(inputs + inputs):  # 32 requests
             future.result(timeout=60)
         svc.shutdown()
@@ -181,7 +183,7 @@ class TestSLOAcceptance:
         stalled = self.serve(net, inputs, injector)
         clean = self.serve(net, inputs, None)
 
-        # the injected stalls sleep ~6.4 ms per hit: over the 5 ms target
+        # each injected stall advances the clock 6.4 ms: over the 5 ms target
         assert injector.counts.get("dram_stall", 0) > 0
         assert stalled.violations > 0
         assert stalled.burn_rate() > 0.0

@@ -400,16 +400,6 @@ class TestServeBench:
         assert summary["completed"] == 8
         assert summary["requests_per_s"] > 0
 
-    def test_explore_jobs_matches_serial(self, capsys):
-        serial = run(capsys, "explore", "alexnet", "--convs", "5")
-        parallel = run(capsys, "explore", "alexnet", "--convs", "5",
-                       "--jobs", "2")
-        assert serial == parallel
-
-    def test_explore_bad_jobs_exits_2(self, capsys):
-        assert main(["explore", "toynet", "--jobs", "0"]) == 2
-        assert "jobs" in capsys.readouterr().err
-
 
 class TestServeObservability:
     def test_trace_chrome_export_validates(self, capsys, tmp_path):

@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.schedule import FusedSchedule
 from ..core.costs import reuse_buffer_plans
+from ..core.partition import group_tip, split_groups
 from ..core.pyramid import PyramidGeometry, build_pyramid
 from ..hw.device import DSP_PER_MAC, VIRTEX7_690T, FpgaDevice, WORDS_PER_BRAM18
 from ..nn.network import Network
@@ -314,16 +315,6 @@ def _check_group_resources(levels: Sequence[Level],
     return out
 
 
-def _split(levels: Sequence[Level],
-           sizes: Sequence[int]) -> List[List[Level]]:
-    groups: List[List[Level]] = []
-    start = 0
-    for size in sizes:
-        groups.append(list(levels[start:start + size]))
-        start += size
-    return groups
-
-
 def check_partition(levels: Sequence[Level], sizes: Sequence[int],
                     tip: int = 1, strategy: str = "reuse",
                     device: FpgaDevice = VIRTEX7_690T,
@@ -355,7 +346,7 @@ def check_partition(levels: Sequence[Level], sizes: Sequence[int],
         return [diag("RC105", f"got {len(tiles)} tile entries for "
                      f"{len(sizes)} groups", sizes=sizes)]
 
-    groups = _split(levels, sizes)
+    groups = split_groups(levels, sizes)
     budget = device.dsp_slices if dsp_budget is None else dsp_budget
     out: List[Diagnostic] = []
     shares: List[Optional[int]] = [None] * len(groups)
@@ -372,10 +363,7 @@ def check_partition(levels: Sequence[Level], sizes: Sequence[int],
             shares = computed
 
     for i, group in enumerate(groups):
-        final = group[-1].out_shape
-        tip_h, tip_w = tip, tip
-        if clip_tip:
-            tip_h, tip_w = min(tip, final.height), min(tip, final.width)
+        tip_h, tip_w = group_tip(group, tip) if clip_tip else (tip, tip)
         out.extend(check_group(
             group,
             tip_h=tip_h, tip_w=tip_w,
@@ -460,11 +448,9 @@ def check_network(network: Network, partition: Optional[Sequence[int]] = None,
         from ..hw.pipeline import StageTiming, simulate_pipeline
 
         hazard: List[Diagnostic] = []
-        for group in _split(levels, sizes):
-            final = group[-1].out_shape
+        for group in split_groups(levels, sizes):
             try:
-                geometry = build_pyramid(group, min(tip, final.height),
-                                         min(tip, final.width))
+                geometry = build_pyramid(group, *group_tip(group, tip))
             except ShapeError:
                 continue
             rows, cols = geometry.num_positions

@@ -12,12 +12,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import obs
 from ..errors import ConfigError
-from ..nn.stages import FusionUnit
+from ..nn.shapes import ShapeError
+from ..nn.stages import FusionUnit, Level
 from .fusion import GroupAnalysis, Strategy, analyze_group, units_to_levels
+
+T = TypeVar("T")
+
+
+def split_groups(items: Sequence[T], sizes: Sequence[int]) -> List[List[T]]:
+    """Cut ``items`` into contiguous groups of the given ``sizes``.
+
+    Raises :class:`~repro.nn.shapes.ShapeError` unless the sizes are
+    positive and cover ``items`` exactly.
+    """
+    sizes = tuple(sizes)
+    if sum(sizes) != len(items) or any(size <= 0 for size in sizes):
+        raise ShapeError(f"sizes {sizes} do not cover {len(items)} items "
+                         "with positive groups", sizes=sizes,
+                         items=len(items))
+    groups: List[List[T]] = []
+    start = 0
+    for size in sizes:
+        groups.append(list(items[start:start + size]))
+        start += size
+    return groups
+
+
+def group_tip(levels: Sequence[Level], tip_h: int,
+              tip_w: Optional[int] = None) -> Tuple[int, int]:
+    """A ``tip_h`` x ``tip_w`` pyramid tip (square when ``tip_w`` is
+    omitted) clipped to the group's output map, so one plan-wide tip
+    serves groups whose output is smaller than it."""
+    final = levels[-1].out_shape
+    return (min(tip_h, final.height),
+            min(tip_h if tip_w is None else tip_w, final.width))
 
 
 def compositions(n: int) -> Iterator[Tuple[int, ...]]:

@@ -11,12 +11,17 @@ other.
 Two things are deliberately decoupled:
 
 * **numerics** run stage-by-stage through the *same* operator sequence
-  the base plan's executor applies — linear stages apply contiguous
-  layer-binding slices through :func:`repro.sim.ops.apply_spec` with the
-  base executor's weights, graph stages execute
-  :meth:`~repro.graph.executor.GraphExecutor.run_atom` runs — so outputs
-  are **bit-identical** to direct execution, including under fault plans
-  (faults live inside the unchanged fused executors);
+  the base plan's executor applies: at construction the plan slices its
+  base plan's execution atoms (:func:`~repro.dist.stage.linear_atoms` or
+  :func:`~repro.graph.executor.graph_atoms`, the lists the estimate was
+  priced from) by the stage split, without building the base executor.
+  Linear stages apply their atoms' layer bindings through
+  :func:`repro.sim.ops.apply_spec` with the base executor's weights,
+  graph stages run their atoms through
+  :meth:`~repro.graph.executor.GraphExecutor.run_atom` (the routine
+  ``run_fused`` uses), so outputs are **bit-identical** to direct
+  execution, including under fault plans (faults live inside the
+  unchanged fused executors);
 * **timing** is priced in virtual cycles by the frozen stage costs
   (:meth:`PipelineEstimate.simulate` runs a micro-batch through them);
   every ``execute`` call records wall-clock per-stage offsets
@@ -40,13 +45,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from ..core.partition import split_groups
 from ..errors import ConfigError
 from ..hw.device import DeviceSpec
 from ..hw.link import DEFAULT_LINK, LinkSpec
-from ..nn.layers import ConvSpec, PoolSpec
-from ..nn.stages import extract_levels, independent_units
 from ..sim import ops
-from .stage import PipelineEstimate, balance_stages, plan_atoms
+from .stage import PipelineEstimate, balance_stages, linear_atoms, plan_atoms
 
 
 #: Micro-batch run length weights amortize over by default: a stage
@@ -91,49 +95,6 @@ def pipeline_plan_key(base_key, devices: Sequence[DeviceSpec],
                                  weight_items))
 
 
-def _linear_stage_bindings(network, partition_sizes: Sequence[int],
-                           boundaries: Sequence[int]) -> List[List[Any]]:
-    """Layer bindings of each pipeline stage of a linear plan.
-
-    Maps every binding to the fused group that owns it — windowed layers
-    by partition position, pads with the level they fold into, ReLU/LRN
-    with their producer, the classifier tail with the last group — then
-    slices groups by the stage boundaries. Concatenating the slices
-    reproduces the network's layer order exactly.
-    """
-    extractor = network.feature_extractor()
-    units = independent_units(extract_levels(extractor))
-    level_group: List[int] = []
-    unit_group: List[int] = []
-    for g, size in enumerate(partition_sizes):
-        unit_group.extend([g] * int(size))
-    if len(unit_group) != len(units):
-        raise ConfigError("partition does not cover the network",
-                          sizes=tuple(partition_sizes), units=len(units))
-    for u, unit in enumerate(units):
-        level_group.extend([unit_group[u]] * len(unit.levels))
-    last_group = len(partition_sizes) - 1
-    group_of: List[int] = []
-    w = 0
-    for binding in network:
-        spec = binding.spec
-        if isinstance(spec, (ConvSpec, PoolSpec)) and w < len(level_group):
-            group_of.append(level_group[w])
-            w += 1
-        elif type(spec).__name__ == "PadSpec" and w < len(level_group):
-            group_of.append(level_group[w])  # folds into the next level
-        else:
-            # ReLU/LRN ride their producer; the tail rides the last group.
-            group_of.append(group_of[-1] if group_of else 0)
-    stage_of_group: List[int] = []
-    for stage, count in enumerate(boundaries):
-        stage_of_group.extend([stage] * int(count))
-    stages: List[List[Any]] = [[] for _ in boundaries]
-    for binding, group in zip(network, group_of):
-        stages[stage_of_group[group]].append(binding)
-    return stages
-
-
 class PipelinePlan:
     """A base plan sharded across a device fleet."""
 
@@ -157,21 +118,14 @@ class PipelinePlan:
         self.seed = base.seed
         self.degraded = base.degraded
         self._tls = threading.local()
-        if base.key.family == "linear":
-            self._stage_bindings = _linear_stage_bindings(
-                base.network, base.partition_sizes, estimate.boundaries)
-            self._stage_atoms = None
+        self._graph = base.key.family == "graph"
+        if self._graph:
+            from ..graph.executor import graph_atoms
+
+            atoms = graph_atoms(base.program, base.decisions)
         else:
-            atoms = base.executor.exec_atoms()
-            if len(atoms) != base.num_groups:
-                raise ConfigError("atom extraction lost groups",
-                                  atoms=len(atoms), groups=base.num_groups)
-            self._stage_bindings = None
-            self._stage_atoms = []
-            start = 0
-            for count in estimate.boundaries:
-                self._stage_atoms.append(atoms[start:start + count])
-                start += count
+            atoms = linear_atoms(base.network, base.partition_sizes)
+        self._stage_atoms = split_groups(atoms, estimate.boundaries)
 
     # -- CompiledPlan surface ---------------------------------------------------
 
@@ -227,15 +181,15 @@ class PipelinePlan:
             stage_wall = [0.0] * self.num_stages
             for item in items:
                 current = item
-                envs: Optional[Dict[str, np.ndarray]] = None
-                if self._stage_atoms is not None:
+                env: Optional[Dict[str, np.ndarray]] = None
+                if self._graph:
                     from ..graph.ir import INPUT
 
-                    envs = {INPUT: np.asarray(item,
-                                              dtype=self.base.executor.dtype)}
+                    env = {INPUT: np.asarray(item,
+                                             dtype=self.base.executor.dtype)}
                 for idx in range(self.num_stages):
                     t0 = time.perf_counter()
-                    current = self._run_stage(idx, current, envs)
+                    current = self._run_stage(idx, current, env)
                     stage_wall[idx] += time.perf_counter() - t0
                 outs.append(current)
         if items:
@@ -256,17 +210,18 @@ class PipelinePlan:
         return outs
 
     def _run_stage(self, idx: int, current: np.ndarray,
-                   envs: Optional[Dict[str, np.ndarray]]) -> np.ndarray:
-        if self._stage_bindings is not None:
-            for binding in self._stage_bindings[idx]:
-                current = ops.apply_spec(binding.spec, current,
-                                         self.base.executor.params)
+                   env: Optional[Dict[str, np.ndarray]]) -> np.ndarray:
+        executor = self.base.executor
+        if env is None:
+            for atom in self._stage_atoms[idx]:
+                for binding in atom.bindings:
+                    current = ops.apply_spec(binding.spec, current,
+                                             executor.params)
             return current
-        assert envs is not None and self._stage_atoms is not None
         for atom in self._stage_atoms[idx]:
-            self.base.executor.run_atom(atom, envs)
+            executor.run_atom(atom, env)
         if idx == self.num_stages - 1:
-            return envs[self.base.program.output_tensor]
+            return env[self.base.program.output_tensor]
         return current
 
     # -- persistence ------------------------------------------------------------

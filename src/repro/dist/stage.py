@@ -1,14 +1,17 @@
 """Stage partitioning and the stage/link cost model.
 
 Everything here operates on **group atoms**: a uniform, ordered view of
-the work a compiled plan performs, one atom per fused group. Linear
-plans contribute one atom per partition group (the classifier tail
-rides on the last one); graph plans contribute one atom per fused group
-of every segment, with joins and opaque steps riding on the group that
-precedes them in program order. Atoms carry their arithmetic, weight
-traffic, and named read/write tensor sets — so pricing a stage split
-never re-derives geometry, it just re-buckets footprints the partition
-analysis already computed.
+the work a compiled plan performs, one atom per fused group. Each plan
+family has one function that lists its execution atoms —
+:func:`linear_atoms` ``(network, partition_sizes)`` assigns every layer
+binding to a partition group (the classifier tail rides on the last
+one), :func:`repro.graph.executor.graph_atoms` ``(program, decisions)``
+hangs joins and opaque steps on the group before them (steps before the
+first group lead it) — and :func:`plan_atoms` prices that same list one
+to one, which pipeline stages then slice and execute. Priced atoms carry
+their arithmetic, weight traffic, and named read/write tensor sets — so
+pricing a stage split never re-derives geometry, it just re-buckets
+footprints the partition analysis already computed.
 
 The pricing model per stage ``s`` (device ``d_s``):
 
@@ -30,18 +33,20 @@ baseline every multi-device estimate is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, comb
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.partition import split_groups
 from ..errors import ConfigError
 from ..hw.device import DeviceSpec, WORDS_PER_BRAM18
 from ..hw.link import LinkSpec
 from ..hw.pipeline import PipelineSchedule, StageTiming, simulate_pipeline
-from ..nn.layers import ConvSpec, FCSpec
+from ..nn.layers import ConvSpec, PadSpec, PoolSpec
+from ..nn.network import LayerBinding
 from ..nn.shapes import BYTES_PER_WORD
-from ..core.fusion import units_to_levels
-from ..nn.stages import extract_levels, independent_units
+from ..nn.stages import Level, extract_levels
+from ..sim.weights import param_bytes
 
 #: DSP floor per convolution level of a fused engine (the feasibility
 #: floor :func:`repro.hw.multi.design_partition` applies).
@@ -195,27 +200,76 @@ class PipelineEstimate:
 # -- atom extraction -----------------------------------------------------------
 
 
-def _level_atoms(levels_per_group: Sequence[Sequence], names: Sequence[str],
-                 input_tensor: str, input_bytes: int) -> List[GroupAtom]:
-    """Chain atoms for consecutive fused groups of windowed levels."""
+@dataclass(frozen=True)
+class LinearAtom:
+    """One partition group of a linear plan: its windowed ``levels`` and
+    every layer binding it executes, in network order. ``tail`` holds
+    the bindings past the fusion scope (the classifier), on the last
+    group only."""
+
+    levels: Tuple[Level, ...]
+    bindings: Tuple[LayerBinding, ...]
+    tail: Tuple[LayerBinding, ...] = ()
+
+
+def linear_atoms(network, partition_sizes: Sequence[int]) -> List[LinearAtom]:
+    """A linear plan as one atom per partition group, in layer order.
+
+    Windowed layers go to their partition group, a pad to the level it
+    folds into, ReLU/LRN to their producer's group, and everything past
+    the last windowed level to the last group, so the atoms' bindings
+    concatenate to the network exactly.
+    """
+    extractor = network.feature_extractor()
+    level_groups = split_groups(extract_levels(extractor), partition_sizes)
+    owner = [g for g, levels in enumerate(level_groups) for _ in levels]
+    bindings: List[List[LayerBinding]] = [[] for _ in level_groups]
+    g = windowed = 0  # the current binding's group; levels seen so far
+    for binding in network:
+        if (windowed < len(owner)
+                and isinstance(binding.spec, (ConvSpec, PoolSpec, PadSpec))):
+            g = owner[windowed]  # a pad folds into the next level
+            if not isinstance(binding.spec, PadSpec):
+                windowed += 1
+        bindings[g].append(binding)
+    tail = tuple(list(network)[len(extractor):])
+    last = len(level_groups) - 1
+    return [LinearAtom(levels=tuple(levels), bindings=tuple(group),
+                       tail=tail if i == last else ())
+            for i, (levels, group) in enumerate(zip(level_groups, bindings))]
+
+
+def level_atoms(levels_per_group: Sequence[Sequence[Level]],
+                input_bytes: int) -> List[GroupAtom]:
+    """Priced atoms ``g0, g1, ...`` for consecutive fused groups of
+    windowed levels: group ``i`` reads ``g<i-1>.out`` (the first reads
+    ``input`` of ``input_bytes``) and writes ``g<i>.out``."""
     atoms: List[GroupAtom] = []
-    upstream = (input_tensor, input_bytes)
-    for idx, (levels, name) in enumerate(zip(levels_per_group, names)):
-        out_bytes = levels[-1].out_shape.bytes
-        out_tensor = f"{name}.out"
-        atoms.append(GroupAtom(
-            index=idx, name=name,
-            ops=sum(level.total_ops for level in levels),
-            weight_bytes=sum(level.weight_count for level in levels)
-                         * BYTES_PER_WORD,
-            dsp_floor=_DSP_FLOOR_PER_CONV
-                      * sum(1 for level in levels if level.is_conv),
-            bram_words=_group_bram_words(levels),
-            reads=((upstream[0], upstream[1], False),),
-            writes=((out_tensor, out_bytes),),
-        ))
-        upstream = (out_tensor, out_bytes)
+    upstream = ("input", input_bytes)
+    for idx, levels in enumerate(levels_per_group):
+        out = (f"g{idx}.out", levels[-1].out_shape.bytes)
+        atoms.append(_group_atom(idx, f"g{idx}", levels,
+                                 reads=[upstream + (False,)], writes=[out]))
+        upstream = out
     return atoms
+
+
+def _group_atom(index: int, name: str, levels: Sequence[Level],
+                reads: List[Tuple[str, int, bool]],
+                writes: List[Tuple[str, int]],
+                ops: int = 0, weight_bytes: int = 0) -> GroupAtom:
+    """A fused group's atom, plus ``ops``/``weight_bytes`` of the work
+    riding on it."""
+    return GroupAtom(
+        index=index, name=name,
+        ops=ops + sum(level.total_ops for level in levels),
+        weight_bytes=weight_bytes
+                     + sum(level.weight_count for level in levels)
+                     * BYTES_PER_WORD,
+        dsp_floor=_DSP_FLOOR_PER_CONV
+                  * sum(1 for level in levels if level.is_conv),
+        bram_words=_group_bram_words(levels),
+        reads=tuple(reads), writes=tuple(writes))
 
 
 def _group_bram_words(levels) -> int:
@@ -228,195 +282,83 @@ def _group_bram_words(levels) -> int:
     return words
 
 
-def _linear_atoms(plan) -> List[GroupAtom]:
-    network = plan.network
-    extractor = network.feature_extractor()
-    units = independent_units(extract_levels(extractor))
-    sizes = tuple(plan.partition_sizes)
-    if sum(sizes) != len(units):
-        raise ConfigError("plan partition does not cover the network",
-                          sizes=sizes, units=len(units))
-    groups: List[List] = []
-    start = 0
-    for size in sizes:
-        groups.append(units_to_levels(units[start:start + size]))
-        start += size
-    names = [f"g{i}" for i in range(len(groups))]
-    atoms = _level_atoms(groups, names, "input",
+def _price_linear(network, atoms: Sequence[LinearAtom]) -> List[GroupAtom]:
+    """Chain the groups; the classifier tail folds its arithmetic and
+    weights into the last atom, which writes the network's ``output``."""
+    priced = level_atoms([atom.levels for atom in atoms],
                          network.input_shape.bytes)
-    # The classifier tail (FC/LRN/pool beyond the fusion scope) rides on
-    # the last stage: fold its arithmetic and traffic into the last atom.
-    tail = list(network)[len(extractor):]
-    if tail and atoms:
-        tail_ops = sum(b.total_ops for b in tail)
-        tail_weight_bytes = _tail_weight_bytes(tail)
-        last = atoms[-1]
-        out_bytes = tail[-1].output_shape.bytes
-        atoms[-1] = GroupAtom(
-            index=last.index, name=last.name,
-            ops=last.ops + tail_ops,
-            weight_bytes=last.weight_bytes + tail_weight_bytes,
-            dsp_floor=last.dsp_floor,
-            bram_words=last.bram_words,
-            reads=last.reads,
-            writes=(("output", out_bytes),),
-        )
-    elif atoms:
-        last = atoms[-1]
-        atoms[-1] = GroupAtom(
-            index=last.index, name=last.name, ops=last.ops,
-            weight_bytes=last.weight_bytes, dsp_floor=last.dsp_floor,
-            bram_words=last.bram_words, reads=last.reads,
-            writes=(("output", last.writes[0][1]),),
-        )
-    return atoms
+    last, tail = priced[-1], atoms[-1].tail
+    priced[-1] = replace(
+        last, ops=last.ops + sum(b.total_ops for b in tail),
+        weight_bytes=last.weight_bytes + param_bytes(
+            ((b.spec, b.input_shape) for b in tail), BYTES_PER_WORD),
+        writes=(("output", tail[-1].output_shape.bytes if tail
+                 else last.writes[0][1]),))
+    return priced
 
 
-def _tail_weight_bytes(tail) -> int:
-    total = 0
-    for binding in tail:
-        spec = binding.spec
-        if isinstance(spec, FCSpec):
-            total += (binding.input_shape.elements * spec.out_features
-                      + spec.out_features) * BYTES_PER_WORD
-        elif isinstance(spec, ConvSpec):
-            in_ch = binding.input_shape.channels // spec.groups
-            total += (spec.out_channels * in_ch * spec.kernel * spec.kernel
-                      + spec.out_channels) * BYTES_PER_WORD
-    return total
+def _price_graph(atom) -> GroupAtom:
+    """A graph atom: its group and fused join, plus the arithmetic,
+    weights and traffic of every step riding on it."""
+    from ..graph.lower import JoinStep
 
+    levels = atom.levels
+    reads: List[Tuple[str, int, bool]] = []
+    writes: List[Tuple[str, int]] = []
+    ops = weight_bytes = 0
 
-def _graph_atoms(plan) -> List[GroupAtom]:
-    """One atom per fused group of every segment; joins and opaque steps
-    ride on the nearest preceding group atom (their reads/writes and
-    arithmetic merge into it)."""
-    from ..graph.lower import JoinStep, OpaqueStep, SegmentStep
+    def add_join(join, operands, retained=()) -> None:
+        # elementwise/concat: one op per output element per operand
+        nonlocal ops
+        ops += join.out_shape.elements * max(len(join.operands), 1)
+        reads.extend((t, join.operand_bytes(t), t in retained)
+                     for t in operands)
+        writes.append((join.output_tensor, join.out_shape.bytes))
 
-    network = plan.network
-    program = plan.program
-    decisions = plan.decisions
-    atoms: List[GroupAtom] = []
-    pending: List[Tuple] = []  # rider (ops, weight_bytes, reads, writes)
-    segment_idx = 0
-
-    def _attach_rider(ops, weight_bytes, reads, writes) -> None:
-        if not atoms:
-            pending.append((ops, weight_bytes, reads, writes))
-            return
-        last = atoms[-1]
-        atoms[-1] = GroupAtom(
-            index=last.index, name=last.name, ops=last.ops + ops,
-            weight_bytes=last.weight_bytes + weight_bytes,
-            dsp_floor=last.dsp_floor, bram_words=last.bram_words,
-            reads=last.reads + tuple(reads),
-            writes=last.writes + tuple(writes))
-
-    for step in program.steps:
-        if isinstance(step, SegmentStep):
-            decision = decisions[segment_idx]
-            segment_idx += 1
-            start = 0
-            n_groups = len(decision.sizes)
-            for g, size in enumerate(decision.sizes):
-                levels = step.levels[start:start + size]
-                start += size
-                last_group = g == n_groups - 1
-                in_tensor = (step.input_tensor if g == 0
-                             else f"{step.output_tensor}@{g - 1}")
-                in_bytes = (network.tensor_shape(step.input_tensor).bytes
-                            if g == 0 else levels[0].in_shape.bytes)
-                reads: List[Tuple[str, int, bool]] = [
-                    (in_tensor, in_bytes, False)]
-                if last_group:
-                    out_tensor = step.output_tensor
-                else:
-                    out_tensor = f"{step.output_tensor}@{g}"
-                writes: List[Tuple[str, int]] = [
-                    (out_tensor, levels[-1].out_shape.bytes)]
-                if last_group and step.join is not None:
-                    join = step.join
-                    if decision.join_fused:
-                        retained = set(step.retained_skips())
-                        for tensor in step.skip_operands():
-                            reads.append((tensor, join.operand_bytes(tensor),
-                                          tensor in retained))
-                        writes.append((join.output_tensor,
-                                       join.out_shape.bytes))
-                atom = GroupAtom(
-                    index=len(atoms),
-                    name=f"{step.name}.g{g}",
-                    ops=sum(level.total_ops for level in levels)
-                        + (join_ops(step.join) if last_group
-                           and step.join is not None and decision.join_fused
-                           else 0),
-                    weight_bytes=sum(level.weight_count for level in levels)
-                                 * BYTES_PER_WORD,
-                    dsp_floor=_DSP_FLOOR_PER_CONV
-                              * sum(1 for level in levels if level.is_conv),
-                    bram_words=_group_bram_words(levels),
-                    reads=tuple(reads), writes=tuple(writes))
-                atoms.append(atom)
-                if pending:
-                    for rider in pending:
-                        _attach_rider(*rider)
-                    pending.clear()
-            if (step.join is not None
-                    and not decisions[segment_idx - 1].join_fused):
-                join = step.join
-                _attach_rider(
-                    join_ops(join), 0,
-                    [(t, join.operand_bytes(t), False)
-                     for t in join.operands],
-                    [(join.output_tensor, join.out_shape.bytes)])
-        elif isinstance(step, JoinStep):
-            join = step.join
-            _attach_rider(
-                join_ops(join), 0,
-                [(t, join.operand_bytes(t), False) for t in join.operands],
-                [(join.output_tensor, join.out_shape.bytes)])
-        elif isinstance(step, OpaqueStep):
-            node = step.node
-            spec = node.spec
-            in_shape = node.input_shapes[0]
-            weight_bytes = 0
-            if isinstance(spec, FCSpec):
-                weight_bytes = (in_shape.elements * spec.out_features
-                                + spec.out_features) * BYTES_PER_WORD
-            _attach_rider(
-                spec.total_ops(in_shape), weight_bytes,
-                [(step.input_tensor, in_shape.bytes, False)],
-                [(step.output_tensor, node.output_shape.bytes)])
-    if pending:
-        raise ConfigError("graph program has no fused group to host its "
-                          "leading steps", network=network.name)
-    return atoms
-
-
-def join_ops(join) -> int:
-    """Elementwise/concat joins: one op per output element per operand."""
-    if join is None:
-        return 0
-    return join.out_shape.elements * max(len(join.operands), 1)
+    if levels:
+        reads.append((atom.input_tensor, levels[0].in_shape.bytes, False))
+        writes.append((atom.output_tensor, levels[-1].out_shape.bytes))
+    if atom.join is not None:
+        add_join(atom.join, atom.step.skip_operands(),
+                 atom.step.retained_skips())
+    for rider in atom.leading + atom.riders:
+        if isinstance(rider, JoinStep):
+            add_join(rider.join, rider.join.operands)
+            continue
+        node = rider.node
+        in_shape = node.input_shapes[0]
+        ops += node.spec.total_ops(in_shape)
+        weight_bytes += param_bytes([(node.spec, in_shape)], BYTES_PER_WORD)
+        reads.append((rider.input_tensor, in_shape.bytes, False))
+        writes.append((rider.output_tensor, node.output_shape.bytes))
+    return _group_atom(atom.index, atom.name, levels, reads, writes,
+                       ops=ops, weight_bytes=weight_bytes)
 
 
 def plan_atoms(plan) -> List[GroupAtom]:
-    """The ordered group atoms of a compiled plan (linear or graph).
+    """The priced atoms of a compiled plan, one per execution atom —
+    :func:`~repro.graph.executor.graph_atoms` of a graph plan,
+    :func:`linear_atoms` of a linear one — in execution order.
 
-    The atom count always equals ``plan.num_groups`` — every fused group
-    appears exactly once, in execution order — which is the invariant
-    the stage partitioner and the RC801 coverage check build on.
+    The atom count equals ``plan.num_groups`` (every fused group appears
+    exactly once), which is the invariant the stage partitioner and the
+    RC801 coverage check build on.
     """
     family = plan.key.family
     if family == "graph":
-        atoms = _graph_atoms(plan)
+        from ..graph.executor import graph_atoms
+
+        atoms = [_price_graph(atom)
+                 for atom in graph_atoms(plan.program, plan.decisions)]
     elif family == "linear":
-        atoms = _linear_atoms(plan)
+        atoms = _price_linear(plan.network, linear_atoms(
+            plan.network, plan.partition_sizes))
     else:
         raise ConfigError(f"cannot shard a {family!r} plan",
                           family=family)
     if len(atoms) != plan.num_groups:
         raise ConfigError(
-            "atom extraction lost groups", atoms=len(atoms),
+            "plan atoms do not match its fused groups", atoms=len(atoms),
             groups=plan.num_groups)
     return atoms
 

@@ -1,32 +1,38 @@
-"""Graph execution: a NumPy reference walk and the fused-segment path.
+"""Graph execution: a NumPy reference walk and the fused-atom path.
 
 ``run_reference`` evaluates the DAG node by node — layers through
 :func:`repro.sim.ops.apply_spec`, joins through this module's one join
 evaluation — with no lowering involved, so it is an independent oracle
-for the fused path. ``run_fused`` executes the lowered program: each
-segment runs group-by-group through the unmodified
-:class:`~repro.sim.fused.FusedExecutor` (pyramid schedule, reuse
-buffers, fault repair), joins evaluate as NumPy elementwise/concat ops,
-and a fused join replaces the body's DRAM output write with the
-join-output write. In integer mode (small integer weights on float64
-storage) the two paths are **bit-identical**, including under
-``transfer_corrupt`` fault plans — corrupted reads are detected and
-repaired inside the fused executor, never changing results.
+for the fused path. ``run_fused`` executes the lowered program as the
+ordered atom list of :func:`graph_atoms`, one atom per fused group: the
+group runs through the unmodified :class:`~repro.sim.fused.FusedExecutor`
+(pyramid schedule, reuse buffers, fault repair), a fused join replaces
+the body's DRAM output write with the join-output write, and the
+boundary joins and opaque steps riding on the atom evaluate as NumPy
+ops. Pipeline stages (:mod:`repro.dist.plan`) run slices of the same
+list through the same :meth:`GraphExecutor.run_atom`, and
+:func:`repro.dist.stage.plan_atoms` prices it. In integer mode (small
+integer weights on float64 storage) the fused and reference paths are
+**bit-identical**, including under ``transfer_corrupt`` fault plans —
+corrupted reads are detected and repaired inside the fused executor,
+never changing results.
 
-Observability: every segment runs inside a ``graph.segment[<name>]``
-span, and skip tensors retained on chip for a fused join increment the
-``graph.skip_bytes_retained`` counter — so traces distinguish
-fused-through skips from boundary skips.
+Observability: every atom runs inside a ``graph.atom[<segment>.g<i>]``
+span (under ``graph.run`` on the direct path, under ``dist.execute`` in
+a pipeline stage), and skip tensors retained on chip for a fused join
+increment the ``graph.skip_bytes_retained`` counter — so traces
+distinguish fused-through skips from boundary skips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
+from ..core.partition import split_groups
 from ..errors import ConfigError
 from ..nn.shapes import ShapeError
 from ..nn.stages import Level
@@ -152,6 +158,75 @@ def check_decisions(program: GraphProgram,
     return decisions
 
 
+Rider = Union[JoinStep, OpaqueStep]
+
+
+@dataclass(frozen=True)
+class GraphAtom:
+    """One fused group of a lowered program plus the steps riding on it.
+
+    The group reads ``input_tensor`` and writes ``output_tensor``; a
+    segment's non-final groups hand over through ``"<segment
+    output>@<group>"``. ``join`` is the segment's join when it is fused
+    into this (final) group. ``leading`` steps run before the group,
+    ``riders`` after it. ``step`` is ``None`` only in the single atom of
+    a program with no fused group, which carries every step as leading.
+    """
+
+    index: int
+    name: str
+    step: Optional[SegmentStep]
+    levels: Tuple[Level, ...]
+    input_tensor: str
+    output_tensor: str
+    join: Optional[JoinInfo] = None
+    leading: Tuple[Rider, ...] = ()
+    riders: Tuple[Rider, ...] = ()
+
+
+def graph_atoms(program: GraphProgram,
+                decisions: Sequence[SegmentDecision]) -> List[GraphAtom]:
+    """The program as one atom per fused group, in execution order.
+
+    Boundary joins (a segment's unfused join included) and opaque steps
+    ride on the nearest preceding group; steps before the first group
+    lead it. Running the atoms in order runs every step once, in program
+    order: :meth:`GraphExecutor.run_fused` does exactly that, a pipeline
+    stage runs a contiguous slice, and
+    :func:`repro.dist.stage.plan_atoms` prices the same list.
+    """
+    groups: List[GraphAtom] = []
+    riders: List[List[Rider]] = [[]]  # riders[0] lead the first group
+    remaining = iter(decisions)
+    for step in program.steps:
+        if not isinstance(step, SegmentStep):
+            riders[-1].append(step)
+            continue
+        decision = next(remaining)
+        split = split_groups(step.levels, decision.sizes)
+        for g, levels in enumerate(split):
+            last = g == len(split) - 1
+            groups.append(GraphAtom(
+                index=len(groups), name=f"{step.name}.g{g}", step=step,
+                levels=tuple(levels),
+                input_tensor=(step.input_tensor if g == 0
+                              else f"{step.output_tensor}@{g - 1}"),
+                output_tensor=(step.output_tensor if last
+                               else f"{step.output_tensor}@{g}"),
+                join=step.join if last and decision.join_fused else None))
+            riders.append([])
+        if step.join is not None and not decision.join_fused:
+            riders[-1].append(JoinStep(step.join))
+    if not groups:
+        return [GraphAtom(index=0, name=program.steps[0].name, step=None,
+                          levels=(), input_tensor=INPUT,
+                          output_tensor=program.output_tensor,
+                          leading=tuple(riders[0]))]
+    return [replace(atom, riders=tuple(riders[atom.index + 1]),
+                    leading=tuple(riders[0]) if atom.index == 0 else ())
+            for atom in groups]
+
+
 class GraphExecutor:
     """Reference and fused execution of a :class:`GraphNetwork`.
 
@@ -194,40 +269,23 @@ class GraphExecutor:
         self.decisions = check_decisions(
             self.program, decisions if decisions is not None
             else default_decisions(self.program))
-        self._tip = tip
-        self._faults = faults
-        self._retry = retry
-        self._group_executors = self._build_groups(input_reuse)
-
-    # -- construction ---------------------------------------------------------
-
-    def _build_groups(self, input_reuse: bool) -> List[List[FusedExecutor]]:
-        per_segment: List[List[FusedExecutor]] = []
-        for step, decision in zip(self.program.segments, self.decisions):
-            executors: List[FusedExecutor] = []
-            start = 0
-            for size in decision.sizes:
-                levels = step.levels[start:start + size]
-                group_params = {
-                    lv.name: self.params[lv.name]
-                    for lv in levels if lv.is_conv}
-                final = levels[-1].out_shape
-                executors.append(FusedExecutor(
-                    list(levels), params=group_params,
-                    tip_h=fused_tip(final.height, self._tip),
-                    tip_w=fused_tip(final.width, self._tip),
-                    integer=self.integer, input_reuse=input_reuse,
-                    dtype=self.dtype, faults=self._faults,
-                    retry=self._retry))
-                start += size
-            per_segment.append(executors)
-        return per_segment
+        self.atoms = graph_atoms(self.program, self.decisions)
+        self._executors = [
+            FusedExecutor(
+                list(atom.levels),
+                params={lv.name: self.params[lv.name]
+                        for lv in atom.levels if lv.is_conv},
+                tip_h=fused_tip(atom.levels[-1].out_shape.height, tip),
+                tip_w=fused_tip(atom.levels[-1].out_shape.width, tip),
+                integer=self.integer, input_reuse=input_reuse,
+                dtype=self.dtype, faults=faults, retry=retry)
+            if atom.levels else None
+            for atom in self.atoms]
 
     @property
     def buffer_bytes(self) -> int:
         """Reuse-buffer footprint summed over all fused groups."""
-        return sum(ex.buffer_bytes
-                   for group in self._group_executors for ex in group)
+        return sum(ex.buffer_bytes for ex in self._executors if ex is not None)
 
     def make_input(self, seed: Optional[int] = None) -> np.ndarray:
         return make_input(self.network.input_shape,
@@ -273,48 +331,44 @@ class GraphExecutor:
 
     def run_fused(self, x: np.ndarray,
                   trace: Optional[TrafficTrace] = None) -> np.ndarray:
-        """Execute the lowered program; bit-identical to
+        """Run the program's atoms in order; bit-identical to
         :meth:`run_reference` in integer mode."""
         expected = self.network.input_shape
         if x.shape != (expected.channels, expected.height, expected.width):
             raise ShapeError(f"input {x.shape} != network input {expected}")
         env: Dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=self.dtype)}
-        segment_idx = 0
         with obs.span("graph.run", network=self.network.name,
-                      steps=len(self.program.steps)):
-            for step in self.program.steps:
-                if isinstance(step, SegmentStep):
-                    decision = self.decisions[segment_idx]
-                    executors = self._group_executors[segment_idx]
-                    segment_idx += 1
-                    self._run_segment(step, decision, executors, env, trace)
-                elif isinstance(step, JoinStep):
-                    self._run_boundary_join(step.join, env, trace)
-                else:
-                    self._run_opaque(step, env, trace)
+                      atoms=len(self.atoms)):
+            for atom in self.atoms:
+                self.run_atom(atom, env, trace)
         return env[self.program.output_tensor]
 
-    def _run_segment(self, step: SegmentStep, decision: SegmentDecision,
-                     executors: List[FusedExecutor],
-                     env: Dict[str, np.ndarray],
-                     trace: Optional[TrafficTrace]) -> None:
-        with obs.span(f"graph.segment[{step.name}]",
-                      levels=len(step.levels), groups=len(executors),
-                      join_fused=decision.join_fused):
-            current = env[step.input_tensor]
-            for idx, executor in enumerate(executors):
-                last = idx == len(executors) - 1
-                suppress = last and decision.join_fused
-                sub = (_SuppressedOutputTrace() if suppress
+    def run_atom(self, atom: GraphAtom, env: Dict[str, np.ndarray],
+                 trace: Optional[TrafficTrace] = None) -> None:
+        """Execute one atom of :func:`graph_atoms` against ``env``
+        (tensor name -> volume): its leading steps, its fused group and
+        fused join, then its riders."""
+        with obs.span(f"graph.atom[{atom.name}]", levels=len(atom.levels),
+                      join_fused=atom.join is not None):
+            for rider in atom.leading:
+                self._run_rider(rider, env, trace)
+            if atom.step is not None:
+                sub = (_SuppressedOutputTrace() if atom.join is not None
                        else TrafficTrace())
-                current = executor.run(current, trace=sub)
+                env[atom.output_tensor] = self._executors[atom.index].run(
+                    env[atom.input_tensor], trace=sub)
                 _merge_trace(trace, sub)
-            env[step.output_tensor] = current
-            if step.join is not None:
-                if decision.join_fused:
-                    self._run_fused_join(step, env, trace)
-                else:
-                    self._run_boundary_join(step.join, env, trace)
+                if atom.join is not None:
+                    self._run_fused_join(atom.step, env, trace)
+            for rider in atom.riders:
+                self._run_rider(rider, env, trace)
+
+    def _run_rider(self, rider: Rider, env: Dict[str, np.ndarray],
+                   trace: Optional[TrafficTrace]) -> None:
+        if isinstance(rider, JoinStep):
+            self._run_boundary_join(rider.join, env, trace)
+        else:
+            self._run_opaque(rider, env, trace)
 
     def _run_fused_join(self, step: SegmentStep, env: Dict[str, np.ndarray],
                         trace: Optional[TrafficTrace]) -> None:
@@ -350,90 +404,6 @@ class GraphExecutor:
         if trace is not None:
             trace.read(step.name, x.size)
             trace.write(step.name, out.size)
-
-    # -- atom-granular execution ----------------------------------------------
-
-    def exec_atoms(self) -> "List[ExecAtom]":
-        """The program flattened to one executable atom per fused group.
-
-        Joins and opaque steps *ride* on the nearest preceding group atom
-        — the same convention :func:`repro.dist.stage.plan_atoms` uses for
-        cost, so a pipeline stage covering atoms ``[a, b)`` executes
-        exactly the work those atoms were priced for. Running the atoms
-        in order via :meth:`run_atom` is bit-identical to
-        :meth:`run_fused` (same operations, same order).
-        """
-        atoms: List[ExecAtom] = []
-        segment_idx = 0
-        for step in self.program.steps:
-            if isinstance(step, SegmentStep):
-                decision = self.decisions[segment_idx]
-                executors = self._group_executors[segment_idx]
-                for g in range(len(executors)):
-                    atoms.append(ExecAtom(index=len(atoms),
-                                          segment=segment_idx, group=g,
-                                          step=step))
-                if step.join is not None and not decision.join_fused:
-                    atoms[-1] = atoms[-1].with_rider(("join", step.join))
-                segment_idx += 1
-            elif isinstance(step, JoinStep):
-                if not atoms:
-                    raise ConfigError(
-                        "graph program has no fused group to host its "
-                        "leading steps", network=self.network.name)
-                atoms[-1] = atoms[-1].with_rider(("join", step.join))
-            else:
-                if not atoms:
-                    raise ConfigError(
-                        "graph program has no fused group to host its "
-                        "leading steps", network=self.network.name)
-                atoms[-1] = atoms[-1].with_rider(("opaque", step))
-        return atoms
-
-    def run_atom(self, atom: "ExecAtom", env: Dict[str, np.ndarray],
-                 trace: Optional[TrafficTrace] = None) -> None:
-        """Execute one atom against ``env`` (tensor name -> volume).
-
-        Non-final groups of a segment publish their output under
-        ``"<segment output>@<group>"``; the final group publishes the
-        segment's output tensor and runs the fused join, then any riders.
-        """
-        step = atom.step
-        decision = self.decisions[atom.segment]
-        executors = self._group_executors[atom.segment]
-        last = atom.group == len(executors) - 1
-        src = (step.input_tensor if atom.group == 0
-               else f"{step.output_tensor}@{atom.group - 1}")
-        suppress = last and decision.join_fused
-        sub = _SuppressedOutputTrace() if suppress else TrafficTrace()
-        out = executors[atom.group].run(env[src], trace=sub)
-        _merge_trace(trace, sub)
-        dst = (step.output_tensor if last
-               else f"{step.output_tensor}@{atom.group}")
-        env[dst] = out
-        if last and step.join is not None and decision.join_fused:
-            self._run_fused_join(step, env, trace)
-        for kind, payload in atom.riders:
-            if kind == "join":
-                self._run_boundary_join(payload, env, trace)
-            else:
-                self._run_opaque(payload, env, trace)
-
-
-@dataclass(frozen=True)
-class ExecAtom:
-    """One fused group plus the join/opaque steps riding on it."""
-
-    index: int
-    segment: int
-    group: int
-    step: SegmentStep
-    riders: Tuple[Tuple[str, object], ...] = ()
-
-    def with_rider(self, rider: Tuple[str, object]) -> "ExecAtom":
-        return ExecAtom(index=self.index, segment=self.segment,
-                        group=self.group, step=self.step,
-                        riders=self.riders + (rider,))
 
 
 def _join(kind: str, arrays: List[np.ndarray]) -> np.ndarray:

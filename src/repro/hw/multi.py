@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ..core.partition import group_tip, split_groups
 from ..errors import ConfigError
 from ..nn.stages import Level
 from .device import VIRTEX7_690T, FpgaDevice
@@ -110,16 +111,7 @@ def design_partition(levels: Sequence[Level], sizes: Sequence[int],
     get a fused engine sized to a share of the budget proportional to
     their arithmetic (with a floor large enough to be feasible).
     """
-    if sum(sizes) != len(levels):
-        raise ConfigError(f"sizes {tuple(sizes)} do not cover {len(levels)} levels",
-                          sizes=tuple(sizes), levels=len(levels))
-    groups: List[List[Level]] = []
-    start = 0
-    for size in sizes:
-        if size <= 0:
-            raise ConfigError("group sizes must be positive", sizes=tuple(sizes))
-        groups.append(list(levels[start:start + size]))
-        start += size
+    groups = split_groups(levels, sizes)
 
     work = [sum(level.total_ops for level in group if level.is_conv)
             for group in groups]
@@ -144,10 +136,9 @@ def design_partition(levels: Sequence[Level], sizes: Sequence[int],
         if not any(level.is_conv for level in group):
             engines.append(PoolEngine(levels=tuple(group)))
             continue
-        final = group[-1].out_shape
+        clipped_h, clipped_w = group_tip(group, tip_h, tip_w)
         engines.append(
             optimize_fused(group, dsp_budget=share, device=device,
-                           tip_h=min(tip_h, final.height),
-                           tip_w=min(tip_w, final.width))
+                           tip_h=clipped_h, tip_w=clipped_w)
         )
     return PartitionDesign(engines=tuple(engines), sizes=tuple(sizes), device=device)

@@ -35,6 +35,7 @@ import numpy as np
 from .. import obs
 from ..core.explorer import explore
 from ..core.fusion import Strategy, units_to_levels
+from ..core.partition import group_tip, split_groups
 from ..core.pyramid import PyramidGeometry, build_pyramid
 from ..errors import ConfigError
 from ..faults.budget import ExplorationBudget
@@ -248,23 +249,10 @@ def _partition_geometry(network: Network, sizes: Tuple[int, ...],
                         tip: int) -> Tuple[PyramidGeometry, ...]:
     """Pyramid geometry for each fused group of the chosen partition."""
     units = independent_units(extract_levels(network.feature_extractor()))
-    if sum(sizes) != len(units) or any(size <= 0 for size in sizes):
-        raise ConfigError("partition does not cover the network's fusion units",
-                          sizes=sizes, units=len(units),
-                          network=network.name)
     geometry: List[PyramidGeometry] = []
-    start = 0
-    for size in sizes:
-        group = units[start:start + size]
+    for group in split_groups(units, sizes):
         levels = units_to_levels(group)
-        # Clip the tip to the group's output map (the same clamp the
-        # hardware designer and the tuner apply), so one plan-wide tip
-        # works for groups whose output is smaller than the tip.
-        final = levels[-1].out_shape
-        geometry.append(build_pyramid(levels,
-                                      tip_h=min(tip, final.height),
-                                      tip_w=min(tip, final.width)))
-        start += size
+        geometry.append(build_pyramid(levels, *group_tip(levels, tip)))
     return tuple(geometry)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.shapes import ShapeError
+from ..core.partition import group_tip, split_groups
 from ..nn.stages import Level
 from .fused import FusedExecutor
 from .trace import TrafficTrace
@@ -34,26 +34,17 @@ class PartitionedExecutor:
                  params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
                  tip_h: int = 1, tip_w: int = 1, seed: int = 0,
                  integer: bool = False):
-        if sum(sizes) != len(levels):
-            raise ShapeError(f"sizes {tuple(sizes)} do not cover {len(levels)} levels")
-        if any(size <= 0 for size in sizes):
-            raise ShapeError("group sizes must be positive")
+        groups = split_groups(levels, sizes)
         self.levels = list(levels)
         self.sizes = tuple(sizes)
         self.params = params if params is not None else make_level_weights(
             self.levels, seed=seed, integer=integer)
         self.groups: List[FusedExecutor] = []
-        start = 0
-        for size in sizes:
-            group = self.levels[start:start + size]
-            final = group[-1].out_shape
-            self.groups.append(
-                FusedExecutor(group, params=self.params,
-                              tip_h=min(tip_h, final.height),
-                              tip_w=min(tip_w, final.width),
-                              integer=integer)
-            )
-            start += size
+        for group in groups:
+            clipped_h, clipped_w = group_tip(group, tip_h, tip_w)
+            self.groups.append(FusedExecutor(
+                group, params=self.params, tip_h=clipped_h,
+                tip_w=clipped_w, integer=integer))
 
     @property
     def boundary_shapes(self):

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.costs import group_transfer
 from ..core.fusion import GroupAnalysis, Strategy, analyze_group
+from ..core.partition import group_tip, split_groups
 from ..core.pyramid import build_pyramid
 from ..errors import ConfigError, ReproError
 from ..hw.device import (
@@ -43,7 +44,7 @@ from ..hw.device import (
     split_device,
 )
 from ..dist.plan import DEFAULT_WEIGHT_ITEMS
-from ..dist.stage import _level_atoms, balance_stages
+from ..dist.stage import balance_stages, level_atoms
 from ..hw.link import DEFAULT_LINK, LinkSpec
 from ..hw.energy import estimate_energy
 from ..hw.fused_accel import (
@@ -107,34 +108,12 @@ class EvalResult:
                    reason=data.get("reason", ""))
 
 
-def split_groups(levels: Sequence[Level],
-                 sizes: Sequence[int]) -> List[List[Level]]:
-    """Slice ``levels`` into the candidate's contiguous groups."""
-    if sum(sizes) != len(levels):
-        raise ConfigError(f"sizes {tuple(sizes)} do not cover "
-                          f"{len(levels)} levels",
-                          sizes=tuple(sizes), levels=len(levels))
-    groups: List[List[Level]] = []
-    start = 0
-    for size in sizes:
-        groups.append(list(levels[start:start + size]))
-        start += size
-    return groups
-
-
-def _group_tip(group: Sequence[Level], tip: int) -> Tuple[int, int]:
-    """The candidate tip clipped to the group's output map (the same
-    clamp ``design_partition`` applies)."""
-    final = group[-1].out_shape
-    return min(tip, final.height), min(tip, final.width)
-
-
 def _explicit_engine(group: Sequence[Level], tile: Tuple[int, int],
                      tip: int, strategy: Strategy,
                      device: FpgaDevice) -> FusedDesign:
     """A fused engine with every conv module capped at (Tm, Tn)."""
     levels = tuple(group)
-    tip_h, tip_w = _group_tip(levels, tip)
+    tip_h, tip_w = group_tip(levels, tip)
     geometry = build_pyramid(levels, tip_h, tip_w)
     fresh = _fresh_tiles(levels, geometry)
     tm_cap, tn_cap = tile
@@ -220,7 +199,7 @@ def candidate_design(levels: Sequence[Level], candidate: Candidate,
         for gi, floor, group_work in zip(auto_indices, floors, work):
             share = floor + int(spare * group_work / total_work)
             group = groups[gi]
-            tip_h, tip_w = _group_tip(group, candidate.tip)
+            tip_h, tip_w = group_tip(group, candidate.tip)
             design = optimize_fused(group, dsp_budget=share, device=device,
                                     tip_h=tip_h, tip_w=tip_w)
             if strategy is Strategy.RECOMPUTE:
@@ -250,7 +229,7 @@ def analyze_candidate(levels: Sequence[Level],
     strategy = Strategy.RECOMPUTE if candidate.strategy == "recompute" else Strategy.REUSE
     analyses: List[GroupAnalysis] = []
     for group in split_groups(levels, candidate.sizes):
-        tip_h, tip_w = _group_tip(group, candidate.tip)
+        tip_h, tip_w = group_tip(group, candidate.tip)
         analyses.append(analyze_group(tuple(group), strategy=strategy,
                                       tip_h=tip_h, tip_w=tip_w))
     return analyses
@@ -267,10 +246,8 @@ def _pipeline_metrics(ctx: EvalContext,
     candidate (``devices > 1``) or is merely uninformative
     (``devices == 1``, where the classic metrics already apply).
     """
-    groups = split_groups(ctx.levels, candidate.sizes)
-    names = [f"g{i}" for i in range(len(groups))]
-    atoms = _level_atoms(groups, names, "input",
-                         ctx.levels[0].in_shape.bytes)
+    atoms = level_atoms(split_groups(ctx.levels, candidate.sizes),
+                        ctx.levels[0].in_shape.bytes)
     fleet = split_device(ctx.pipe_device, candidate.devices)
     estimate = balance_stages(atoms, fleet, ctx.link,
                               weight_items=ctx.weight_items)

@@ -273,7 +273,9 @@ def tune(network: Network, objective: Union[str, Objective] = "cycles",
                         obs.add_counter("tune.invalid")
                     scored_gen.append(item)
                     pareto_insert(pareto, item)
-                    if incumbent is None or item.value < incumbent.value:
+                    # only a finite (valid) value may become the incumbent
+                    if item.value < (incumbent.value if incumbent
+                                     else float("inf")):
                         incumbent = item
                         history.append((considered, item.value))
                         obs.add_counter("tune.incumbent_updates")

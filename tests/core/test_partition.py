@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from repro import Strategy, explore, extract_levels, obs, toynet, vgg16, vggnet_e
 from repro.core import analyze_group, partition, units_to_levels
-from repro.core.partition import analyze_partition, compositions, enumerate_partitions
+from repro.core.partition import (
+    analyze_partition,
+    compositions,
+    enumerate_partitions,
+    group_tip,
+    split_groups,
+)
 from repro.faults import ExplorationBudget
+from repro.nn.shapes import ShapeError
 from repro.nn.stages import independent_units
 
 MB = 2 ** 20
@@ -19,6 +26,27 @@ MB = 2 ** 20
 @pytest.fixture(scope="module")
 def vgg5_units():
     return independent_units(extract_levels(vggnet_e().prefix(5)))
+
+
+class TestSplitGroups:
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    def test_groups_concatenate_back(self, sizes):
+        items = list(range(sum(sizes)))
+        groups = split_groups(items, sizes)
+        assert [len(g) for g in groups] == sizes
+        assert [x for g in groups for x in g] == items
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (7, 0), (8, -1), ()])
+    def test_bad_sizes_are_a_shape_error(self, sizes):
+        with pytest.raises(ShapeError, match="cover"):
+            split_groups(list(range(7)), sizes)
+
+    def test_tip_clipped_to_the_group_output(self):
+        levels = extract_levels(toynet())
+        final = levels[-1].out_shape
+        assert group_tip(levels, 1) == (1, 1)
+        assert group_tip(levels, 10 ** 6) == (final.height, final.width)
+        assert group_tip(levels, 10 ** 6, 1) == (final.height, 1)
 
 
 class TestCompositions:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigError
-from repro.nn.zoo import toynet, vggnet_e
+from repro.nn.zoo import alexnet, toynet, vggnet_e
 from repro.tune import TuningDB, tune
 
 
@@ -71,6 +71,20 @@ class TestTuneLoop:
     def test_bad_batch_rejected(self):
         with pytest.raises(ConfigError):
             tune(toynet(), evals=10, batch=0)
+
+    @pytest.mark.parametrize("network,options", [
+        # every candidate is over the DSP budget
+        (toynet, dict(evals=8, seed=1, batch=4, dsp_budget=50)),
+        # no AlexNet candidate shards onto 2 devices within 16 evals
+        (lambda: alexnet(include_classifier=False),
+         dict(objective="interval_dsp", device_counts=(2,), evals=16,
+              seed=3, batch=4)),
+    ], ids=["dsp_budget", "devices"])
+    def test_no_valid_candidate_raises(self, network, options):
+        """An invalid (infinite-valued) candidate never becomes the
+        incumbent, even when the baseline is invalid too."""
+        with pytest.raises(ConfigError, match="no valid candidate"):
+            tune(network(), **options)
 
     def test_result_to_dict_is_json_ready(self):
         result = tune(toynet(), evals=20, seed=4)

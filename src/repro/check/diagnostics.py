@@ -105,6 +105,7 @@ CODES: Dict[str, tuple] = {
     "RC704": (Severity.ERROR, "lowering does not cover the graph"),
     "RC705": (Severity.ERROR, "invalid graph node"),
     "RC706": (Severity.ERROR, "invalid graph plan record"),
+    "RC707": (Severity.WARNING, "integer-mode exactness not provable"),
     # -- RC8xx pipeline (multi-device) plans ----------------------------------
     "RC801": (Severity.ERROR, "stage split does not cover the network"),
     "RC802": (Severity.ERROR, "stage exceeds its device's DSP budget"),

@@ -20,11 +20,18 @@ the *full* list of defects instead of the first construction error:
 * **RC705** — a node is malformed (unknown spec type, missing name,
   duplicate, reserved name, no inputs) or the graph has no single sink;
 * **RC706** — a serialized graph plan record is invalid (wrong family,
-  missing fields, decisions that do not cover the lowered segments).
+  missing fields, decisions that do not cover the lowered segments);
+* **RC707** (warning) — integer-mode exactness cannot be proven: under
+  the weight and input generators' contract
+  (:func:`~repro.graph.executor.contract_bound`), some activation or
+  partial sum may reach 2^53, where float64 stops holding every integer
+  and bit-identity between execution paths is luck, not a guarantee.
+  Computed from shapes alone; float-precision plans do not draw it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
@@ -153,6 +160,7 @@ def check_graph_network(network: Any, program: Any = None,
     """Validate a constructed :class:`~repro.graph.ir.GraphNetwork` plus
     its lowering (defense in depth behind the IR's own construction
     checks — `compile_graph_plan` runs this on every plan)."""
+    from ..graph.executor import contract_bound
     from ..graph.ir import INPUT, GraphError, JOIN_SPECS
     from ..graph.lower import lower_graph
 
@@ -210,6 +218,15 @@ def check_graph_network(network: Any, program: Any = None,
         out.append(diag("RC704", f"lowered program claims node {name!r}, "
                         "which the graph does not have", site=site,
                         node=name))
+
+    bound, _ = contract_bound(network)
+    if bound >= 2.0 ** 53:
+        out.append(diag(
+            "RC707", f"integer-mode values may reach 2^{math.log2(bound):.1f}"
+            " >= 2^53 (single-tap weights, |bias| <= 2, |input| <= 3): "
+            "float64 cannot carry them exactly, so fused-vs-reference "
+            "bit-identity is not guaranteed", site=site,
+            log2_bound=round(math.log2(bound), 1)))
     return out
 
 
@@ -248,9 +265,11 @@ def check_graph_plan_dict(data: Any, network: Optional[Any] = None,
                         f"{data['seed']}: the frozen weights would not "
                         "match the key", site=site))
 
-    graph_findings = check_graph_dict(data["graph"], site=site)
-    if graph_findings:
-        return out + graph_findings
+    graph_findings = [d for d in check_graph_dict(data["graph"], site=site)
+                      if d.code != "RC707" or key.precision == "int"]
+    out.extend(graph_findings)
+    if any(d.is_error for d in graph_findings):
+        return out
     plan_network = GraphNetwork.from_dict(data["graph"])
 
     fingerprint = plan_network.fingerprint()

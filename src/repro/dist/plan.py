@@ -15,7 +15,9 @@ Two things are deliberately decoupled:
   base plan's execution atoms (:func:`~repro.dist.stage.linear_atoms` or
   :func:`~repro.graph.executor.graph_atoms`, the lists the estimate was
   priced from) by the stage split, without building the base executor.
-  Linear stages apply their atoms' layer bindings through
+  A batch crosses every stage in turn, carried as the base executor
+  carries it (stacked when its exactness rules allow, item by item
+  otherwise). Linear stages apply their atoms' layer bindings through
   :func:`repro.sim.ops.apply_spec` with the base executor's weights,
   graph stages run their atoms through
   :meth:`~repro.graph.executor.GraphExecutor.run_atom` (the routine
@@ -24,7 +26,7 @@ Two things are deliberately decoupled:
   unchanged fused executors);
 * **timing** is priced in virtual cycles by the frozen stage costs
   (:meth:`PipelineEstimate.simulate` runs a micro-batch through them);
-  every ``execute`` call records wall-clock per-stage offsets
+  every ``execute`` call records each stage's wall-clock interval
   (``last_stage_report``, per calling thread) for the per-device trace
   lanes.
 
@@ -49,6 +51,7 @@ from ..core.partition import split_groups
 from ..errors import ConfigError
 from ..hw.device import DeviceSpec
 from ..hw.link import DEFAULT_LINK, LinkSpec
+from ..graph.ir import INPUT
 from ..sim import ops
 from .stage import PipelineEstimate, balance_stages, linear_atoms, plan_atoms
 
@@ -151,8 +154,8 @@ class PipelinePlan:
 
     @property
     def last_stage_report(self) -> Optional[List[Dict[str, Any]]]:
-        """Per-stage wall-clock offsets of this thread's last ``execute``
-        call: ``[{stage, device, start_s, end_s}, ...]`` measured on the
+        """When each stage of this thread's last ``execute`` call ran:
+        ``[{stage, device, start_s, end_s}, ...]`` measured on the
         :func:`time.perf_counter` clock — the tracer's time base, so the
         serving worker can replay them as per-device spans."""
         return getattr(self._tls, "report", None)
@@ -169,60 +172,53 @@ class PipelinePlan:
     def execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Run a batch stage by stage; bit-identical to the base plan.
 
-        Each item flows through every stage in order (the numerics are
-        sequential; the pipeline overlap is priced, not run), and the
-        per-stage wall-clock offsets land in ``last_stage_report``.
+        The whole batch crosses each stage before the next one starts,
+        carried as the base executor carries it: graph batches as
+        :meth:`~repro.graph.executor.GraphExecutor.batch_envs` decides,
+        linear batches stacked when
+        :attr:`~repro.sim.network_exec.NetworkExecutor.vectorized` holds
+        and item by item otherwise. The pipeline overlap is priced, not
+        run; each stage's wall-clock interval lands in
+        ``last_stage_report``.
         """
         items = [np.asarray(x) for x in xs]
+        if not items:
+            return []
+        executor = self.base.executor
         report: List[Dict[str, Any]] = []
         with obs.span("dist.execute", network=self.network.name,
-                      devices=self.num_stages, batch=len(items)):
-            outs: List[np.ndarray] = []
-            stage_wall = [0.0] * self.num_stages
-            for item in items:
-                current = item
-                env: Optional[Dict[str, np.ndarray]] = None
-                if self._graph:
-                    from ..graph.ir import INPUT
-
-                    env = {INPUT: np.asarray(item,
-                                             dtype=self.base.executor.dtype)}
-                for idx in range(self.num_stages):
-                    t0 = time.perf_counter()
-                    current = self._run_stage(idx, current, env)
-                    stage_wall[idx] += time.perf_counter() - t0
-                outs.append(current)
-        if items:
-            clock = time.perf_counter()
-            offset = clock - sum(stage_wall)
-            for idx in range(self.num_stages):
-                report.append({
-                    "stage": idx,
-                    "device": self.devices[idx].name,
-                    "start_s": offset,
-                    "end_s": offset + stage_wall[idx],
-                })
-                offset += stage_wall[idx]
-            self._tls.report = report
-            obs.add_counter("dist.items_executed", len(items))
-            obs.add_counter("dist.link_bytes",
-                            self.estimate.link_bytes * len(items))
+                      devices=self.num_stages, batch=len(items)) as span:
+            if self._graph:
+                carriers = executor.batch_envs(np.stack(items))
+                span.set(dtype=carriers[0][INPUT].dtype.name)
+            else:
+                carriers = ([np.stack(items)] if executor.vectorized
+                            else items)
+                span.set(dtype=carriers[0].dtype.name)
+            for idx, atoms in enumerate(self._stage_atoms):
+                start = time.perf_counter()
+                for i, carrier in enumerate(carriers):
+                    for atom in atoms:
+                        if self._graph:
+                            executor.run_atom(atom, carrier)
+                        else:
+                            for binding in atom.bindings:
+                                carrier = ops.apply_spec(
+                                    binding.spec, carrier, executor.params)
+                    carriers[i] = carrier
+                report.append({"stage": idx,
+                               "device": self.devices[idx].name,
+                               "start_s": start,
+                               "end_s": time.perf_counter()})
+        if self._graph:
+            outs = list(executor.batch_outputs(carriers))
+        else:
+            outs = list(carriers[0]) if executor.vectorized else carriers
+        self._tls.report = report
+        obs.add_counter("dist.items_executed", len(items))
+        obs.add_counter("dist.link_bytes",
+                        self.estimate.link_bytes * len(items))
         return outs
-
-    def _run_stage(self, idx: int, current: np.ndarray,
-                   env: Optional[Dict[str, np.ndarray]]) -> np.ndarray:
-        executor = self.base.executor
-        if env is None:
-            for atom in self._stage_atoms[idx]:
-                for binding in atom.bindings:
-                    current = ops.apply_spec(binding.spec, current,
-                                             executor.params)
-            return current
-        for atom in self._stage_atoms[idx]:
-            executor.run_atom(atom, env)
-        if idx == self.num_stages - 1:
-            return env[self.base.program.output_tensor]
-        return current
 
     # -- persistence ------------------------------------------------------------
 

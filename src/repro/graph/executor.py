@@ -12,22 +12,32 @@ boundary joins and opaque steps riding on the atom evaluate as NumPy
 ops. Pipeline stages (:mod:`repro.dist.plan`) run slices of the same
 list through the same :meth:`GraphExecutor.run_atom`, and
 :func:`repro.dist.stage.plan_atoms` prices it. In integer mode (small
-integer weights on float64 storage) the fused and reference paths are
-**bit-identical**, including under ``transfer_corrupt`` fault plans —
-corrupted reads are detected and repaired inside the fused executor,
-never changing results.
+integer weights) the fused and reference paths are **bit-identical**,
+including under ``transfer_corrupt`` fault plans — corrupted reads are
+detected and repaired inside the fused executor, never changing results.
+
+A batch runs stacked when arithmetic cannot round: :func:`graph_bound`
+bounds every activation and partial sum from the weights and the
+batch's largest |input|, and the batch is carried as one ``(B, C, H,
+W)`` array in float32 below 2^24, in float64 below 2^53, and item by
+item in float64 otherwise (see :meth:`GraphExecutor.batch_envs`).
+Integer-mode outputs are float64 either way.
 
 Observability: every atom runs inside a ``graph.atom[<segment>.g<i>]``
 span (under ``graph.run`` on the direct path, under ``dist.execute`` in
-a pipeline stage), and skip tensors retained on chip for a fused join
-increment the ``graph.skip_bytes_retained`` counter — so traces
-distinguish fused-through skips from boundary skips.
+a pipeline stage; both carry the ``batch`` size and the carrying
+``dtype``), integer-mode batches that run item by item increment
+``graph.per_item_batches``, and skip tensors retained on chip for a
+fused join increment the ``graph.skip_bytes_retained`` counter — so
+traces distinguish fused-through skips from boundary skips.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,54 +49,96 @@ from ..nn.stages import Level
 from ..sim import ops
 from ..sim.fused import FusedExecutor
 from ..sim.trace import TrafficTrace
-from ..sim.weights import make_input, param_shape
+from ..sim.weights import INPUT_PEAK, make_input, param_shape
 from .explore import SegmentDecision
 from .ir import INPUT, JOIN_SPECS, EltwiseSpec, GraphNetwork
 from .lower import GraphProgram, JoinInfo, JoinStep, OpaqueStep, SegmentStep, lower_graph
 
 
+#: :func:`make_graph_weights`'s integer contract as a
+#: :data:`~repro.sim.ops.Norm`: every filter holds one ``±1`` tap (L1
+#: norm 1) and every bias is an integer in ``[-2, 2]``.
+SINGLE_TAP_NORM = (1.0, 2.0)
+
+
 def make_graph_weights(network: GraphNetwork, seed: int = 0,
-                       integer: bool = False,
-                       dtype=None) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+                       integer: bool = False
+                       ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Weights and biases for every parameterized node, keyed by node name.
 
     Follows the :func:`repro.sim.weights.make_level_weights` convention —
-    one seeded generator drawn in topological order, float64 storage in
-    integer mode — with one depth-driven difference: integer-mode filters
-    are *single-tap*. Each output filter has exactly one nonzero weight,
-    ``+1`` or ``-1``, at a random (channel, ky, kx) position, plus a
-    small integer bias. Dense small-integer weights (the linear
-    convention) grow activations multiplicatively with depth; a
-    50-layer ResNet exceeds float64's 2^53 exact-integer range, at which
-    point BLAS summation order becomes observable and fused-vs-reference
-    bit-identity is luck, not a guarantee. A single-tap filter adds at
-    most ``|bias|`` per layer (and one doubling per residual join), so
-    activations of every zoo network stay exactly representable — while
-    remaining maximally position-sensitive: any misplaced window, halo,
-    or stride in the fused path shifts the sampled tap and changes the
-    output.
+    one seeded generator drawn in topological order — with two
+    differences. Storage is float32 in either mode, like the paper's
+    accelerator (Sec. VI-A): integer-mode weights are ``0`` and ``±1``
+    with biases in ``[-2, 2]``, all exact in float32, and a computation
+    carries them into float64 wherever it runs in float64. And
+    integer-mode filters are *single-tap*. Each output filter has
+    exactly one nonzero weight, ``+1`` or ``-1``, at a random (channel,
+    ky, kx) position, plus a small integer bias (:data:`SINGLE_TAP_NORM`).
+    Dense small-integer weights (the linear convention) grow activations
+    multiplicatively with depth; a 50-layer ResNet exceeds float64's
+    2^53 exact-integer range, at which point BLAS summation order becomes
+    observable and fused-vs-reference bit-identity is luck, not a
+    guarantee. A single-tap filter adds at most ``|bias|`` per layer (and
+    one doubling per residual join), so :func:`graph_bound` keeps every
+    zoo network at its test size below float32's 2^24 — while the
+    filters remain maximally position-sensitive: any misplaced window,
+    halo, or stride in the fused path shifts the sampled tap and changes
+    the output.
     """
-    if dtype is None:
-        dtype = np.float64 if integer else np.float32
     rng = np.random.default_rng(seed)
     params: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for node in network:
         shape = param_shape(node.spec, node.input_shapes[0])
         if shape is None:
             continue
+        fan_in = int(np.prod(shape[1:]))
         if integer:
-            fan_in = int(np.prod(shape[1:]))
-            w = np.zeros(shape, dtype=dtype)
+            w = np.zeros(shape, dtype=np.float32)
             taps = rng.integers(0, fan_in, size=shape[0])
             signs = (rng.integers(0, 2, size=shape[0]) * 2 - 1)
             w.reshape(shape[0], -1)[np.arange(shape[0]), taps] = signs
-            b = rng.integers(-2, 3, size=(shape[0],)).astype(dtype)
+            b = rng.integers(-2, 3, size=(shape[0],)).astype(np.float32)
         else:
-            fan_in = int(np.prod(shape[1:]))
-            w = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
-            b = (rng.standard_normal(shape[0]) * 0.1).astype(dtype)
+            w = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32)
+            b = (rng.standard_normal(shape[0]) * 0.1).astype(np.float32)
         params[node.name] = (w, b)
     return params
+
+
+def graph_bound(network: GraphNetwork, peak: float,
+                norms: Mapping[str, Optional[ops.Norm]]) -> Tuple[float, bool]:
+    """Bound every activation and partial sum of an integer-mode run.
+
+    Walks ``network`` from an input of integers no larger than ``peak``
+    in magnitude, through :func:`repro.sim.ops.spec_magnitude` for
+    layers (each weighted node's norm looked up in ``norms``) and
+    :func:`_join_magnitude` for joins. Returns the largest
+    :attr:`~repro.sim.ops.Magnitude.bound` of any tensor, and whether no
+    operator can round.
+    """
+    env = {INPUT: ops.Magnitude(peak)}
+    for node in network:
+        inputs = [env[name] for name in node.inputs]
+        spec = node.spec
+        if isinstance(spec, JOIN_SPECS):
+            kind = spec.op if isinstance(spec, EltwiseSpec) else "concat"
+            env[node.name] = _join_magnitude(kind, inputs)
+        else:
+            env[node.name] = ops.spec_magnitude(spec, inputs[0],
+                                                norms.get(node.name))
+    return (max(m.bound for m in env.values()),
+            all(m.exact for m in env.values()))
+
+
+def contract_bound(network: GraphNetwork) -> Tuple[float, bool]:
+    """:func:`graph_bound` for integer-mode weights from
+    :func:`make_graph_weights` and inputs from
+    :func:`~repro.sim.weights.make_input`, from the network's shapes
+    alone: it builds no weights."""
+    return graph_bound(network, INPUT_PEAK,
+                       dict.fromkeys((node.name for node in network),
+                                     SINGLE_TAP_NORM))
 
 
 def fused_tip(extent: int, tip: Optional[int]) -> int:
@@ -240,7 +292,8 @@ class GraphExecutor:
         fully fused segments with every fusable join fused.
     params:
         ``{node_name: (weights, bias)}``; generated deterministically
-        from ``seed`` when omitted.
+        from ``seed`` when omitted (float32, see
+        :func:`make_graph_weights`).
     tip:
         Pyramid tip for fused groups; per group the largest divisor of
         the output map not exceeding it is used. ``None`` (default) runs
@@ -248,44 +301,62 @@ class GraphExecutor:
     faults, retry:
         Forwarded to every :class:`~repro.sim.fused.FusedExecutor`:
         ``transfer_corrupt`` faults are injected on DRAM reads and
-        repaired, keeping outputs bit-identical.
+        repaired, keeping outputs bit-identical. An executor with faults
+        runs every batch item by item, so it draws them per item.
+
+    Inputs and outputs are :attr:`dtype`: float64 in integer mode,
+    float32 otherwise.
     """
 
     def __init__(self, network: GraphNetwork,
                  decisions: Optional[Sequence[SegmentDecision]] = None,
                  params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
                  seed: int = 0, integer: bool = True, tip: Optional[int] = None,
-                 input_reuse: bool = True, dtype=None,
-                 faults=None, retry=None,
+                 input_reuse: bool = True, faults=None, retry=None,
                  program: Optional[GraphProgram] = None):
         self.network = network
         self.program = program if program is not None else lower_graph(network)
         self.seed = seed
         self.integer = integer
-        self.dtype = dtype if dtype is not None else (
-            np.float64 if integer else np.float32)
+        self.dtype = np.dtype(np.float64 if integer else np.float32)
         self.params = params if params is not None else make_graph_weights(
-            network, seed=seed, integer=integer, dtype=self.dtype)
+            network, seed=seed, integer=integer)
         self.decisions = check_decisions(
             self.program, decisions if decisions is not None
             else default_decisions(self.program))
         self.atoms = graph_atoms(self.program, self.decisions)
-        self._executors = [
-            FusedExecutor(
-                list(atom.levels),
-                params={lv.name: self.params[lv.name]
-                        for lv in atom.levels if lv.is_conv},
-                tip_h=fused_tip(atom.levels[-1].out_shape.height, tip),
-                tip_w=fused_tip(atom.levels[-1].out_shape.width, tip),
-                integer=self.integer, input_reuse=input_reuse,
-                dtype=self.dtype, faults=faults, retry=retry)
-            if atom.levels else None
-            for atom in self.atoms]
+        self._faults = faults
+        carried = (np.float32, np.float64) if integer else (np.float32,)
+        #: One fused executor per atom for each dtype a run may carry.
+        self._executors = {
+            np.dtype(dtype): [
+                FusedExecutor(
+                    list(atom.levels),
+                    params={lv.name: self.params[lv.name]
+                            for lv in atom.levels if lv.is_conv},
+                    tip_h=fused_tip(atom.levels[-1].out_shape.height, tip),
+                    tip_w=fused_tip(atom.levels[-1].out_shape.width, tip),
+                    integer=self.integer, input_reuse=input_reuse,
+                    dtype=dtype, faults=faults, retry=retry)
+                if atom.levels else None
+                for atom in self.atoms]
+            for dtype in carried}
+
+    @functools.cached_property
+    def _bound(self):
+        """:func:`graph_bound` over this executor's weights, memoized per
+        input peak (the batches of one source share a few peaks). Built
+        for the first batch that could stack, so an executor that only
+        runs :meth:`run_reference` never reads its weights."""
+        return functools.lru_cache(maxsize=64)(functools.partial(
+            graph_bound, self.network, norms=ops.weight_norms(self.params)))
 
     @property
     def buffer_bytes(self) -> int:
-        """Reuse-buffer footprint summed over all fused groups."""
-        return sum(ex.buffer_bytes for ex in self._executors if ex is not None)
+        """Reuse-buffer footprint summed over all fused groups, for one
+        item carried in :attr:`dtype`."""
+        return sum(ex.buffer_bytes for ex in self._executors[self.dtype]
+                   if ex is not None)
 
     def make_input(self, seed: Optional[int] = None) -> np.ndarray:
         return make_input(self.network.input_shape,
@@ -296,7 +367,8 @@ class GraphExecutor:
 
     def run_reference(self, x: np.ndarray,
                       trace: Optional[TrafficTrace] = None) -> np.ndarray:
-        """Node-by-node NumPy evaluation straight off the IR."""
+        """Node-by-node NumPy evaluation of one volume straight off the
+        IR, carried in :attr:`dtype`."""
         expected = self.network.input_shape
         if x.shape != (expected.channels, expected.height, expected.width):
             raise ShapeError(f"input {x.shape} != network input {expected}")
@@ -331,32 +403,86 @@ class GraphExecutor:
 
     def run_fused(self, x: np.ndarray,
                   trace: Optional[TrafficTrace] = None) -> np.ndarray:
-        """Run the program's atoms in order; bit-identical to
-        :meth:`run_reference` in integer mode."""
-        expected = self.network.input_shape
-        if x.shape != (expected.channels, expected.height, expected.width):
-            raise ShapeError(f"input {x.shape} != network input {expected}")
-        env: Dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=self.dtype)}
+        """Run the program's atoms in order over one ``(C, H, W)`` volume
+        or a stacked ``(B, C, H, W)`` batch, carried as
+        :meth:`batch_envs` decides; bit-identical to per-item
+        :meth:`run_reference` calls in integer mode. A batch's traffic
+        is the sum of its items'."""
+        x = np.asarray(x)
+        xs = x[None] if x.ndim == 3 else x
+        if len(xs) == 0:
+            out = self.network.node(self.program.output_tensor).output_shape
+            return np.zeros((0, out.channels, out.height, out.width),
+                            self.dtype)
         with obs.span("graph.run", network=self.network.name,
-                      atoms=len(self.atoms)):
-            for atom in self.atoms:
-                self.run_atom(atom, env, trace)
-        return env[self.program.output_tensor]
+                      atoms=len(self.atoms), batch=len(xs)) as span:
+            envs = self.batch_envs(xs)
+            span.set(dtype=envs[0][INPUT].dtype.name)
+            for env in envs:
+                for atom in self.atoms:
+                    self.run_atom(atom, env, trace)
+        out = self.batch_outputs(envs)
+        return out[0] if x.ndim == 3 else out
+
+    def batch_envs(self, xs: np.ndarray) -> List[Dict[str, np.ndarray]]:
+        """The environments (tensor name -> array) a stacked batch runs
+        in, each holding the batch input under ``"input"``.
+
+        In integer mode a batch of integers stays stacked when
+        :func:`graph_bound` proves every value exact in the carrying
+        type: one environment, float32 below 2^24 and float64 below
+        2^53. Otherwise — an operator that rounds, a non-integral input,
+        a larger bound, a fault injector, or float mode — each item gets
+        its own environment holding one volume in :attr:`dtype`, the
+        computation a single-item run makes; integer-mode batches that
+        take this path count in ``graph.per_item_batches``.
+        """
+        expected = self.network.input_shape
+        if xs.ndim != 4 or xs.shape[1:] != (expected.channels,
+                                            expected.height, expected.width):
+            raise ShapeError(f"input {xs.shape} != network input {expected}")
+        carry = self._carrying_dtype(xs)
+        if carry is not None:
+            return [{INPUT: xs.astype(carry)}]
+        if self.integer:
+            obs.add_counter("graph.per_item_batches")
+        return [{INPUT: np.asarray(x, dtype=self.dtype)} for x in xs]
+
+    def _carrying_dtype(self, xs: np.ndarray):
+        """The dtype a stacked batch may carry, or None (item by item)."""
+        if not self.integer or self._faults is not None:
+            return None
+        if not np.array_equal(xs, np.rint(xs)):
+            return None
+        bound, exact = self._bound(float(np.abs(xs).max(initial=0.0)))
+        if not exact or bound >= 2.0 ** 53:
+            return None
+        return np.float32 if bound < 2.0 ** 24 else np.float64
+
+    def batch_outputs(self, envs: Sequence[Dict[str, np.ndarray]]
+                      ) -> np.ndarray:
+        """The ``(B, ...)`` program output of :meth:`batch_envs`'
+        environments once every atom ran, in :attr:`dtype`."""
+        outs = [env[self.program.output_tensor] for env in envs]
+        out = outs[0] if outs[0].ndim == 4 else np.stack(outs)
+        return out.astype(self.dtype, copy=False)
 
     def run_atom(self, atom: GraphAtom, env: Dict[str, np.ndarray],
                  trace: Optional[TrafficTrace] = None) -> None:
         """Execute one atom of :func:`graph_atoms` against ``env``
-        (tensor name -> volume): its leading steps, its fused group and
-        fused join, then its riders."""
+        (tensor name -> volume or stacked batch, in a dtype
+        :meth:`batch_envs` carries): its leading steps, its fused group
+        and fused join, then its riders."""
         with obs.span(f"graph.atom[{atom.name}]", levels=len(atom.levels),
                       join_fused=atom.join is not None):
             for rider in atom.leading:
                 self._run_rider(rider, env, trace)
             if atom.step is not None:
+                x = env[atom.input_tensor]
                 sub = (_SuppressedOutputTrace() if atom.join is not None
                        else TrafficTrace())
-                env[atom.output_tensor] = self._executors[atom.index].run(
-                    env[atom.input_tensor], trace=sub)
+                env[atom.output_tensor] = (
+                    self._executors[x.dtype][atom.index].run(x, trace=sub))
                 _merge_trace(trace, sub)
                 if atom.join is not None:
                     self._run_fused_join(atom.step, env, trace)
@@ -381,7 +507,8 @@ class GraphExecutor:
             for tensor in streamed:
                 trace.read(join.name, env[tensor].size)
             trace.write(join.name, out.size)
-        retained_bytes = sum(join.operand_bytes(t) for t in retained)
+        items = len(out) if out.ndim == 4 else 1
+        retained_bytes = sum(join.operand_bytes(t) for t in retained) * items
         if retained_bytes:
             obs.add_counter("graph.skip_bytes_retained", retained_bytes)
         obs.add_counter("graph.joins_fused")
@@ -419,6 +546,20 @@ def _join(kind: str, arrays: List[np.ndarray]) -> np.ndarray:
         else:
             out = np.maximum(out, arr)
     return out
+
+
+def _join_magnitude(kind: str,
+                    operands: List[ops.Magnitude]) -> ops.Magnitude:
+    """The join rule of :func:`graph_bound`: ``add`` adds its operands'
+    peaks, ``mul`` multiplies them (and adds their fractional bits),
+    ``max`` and ``concat`` take the largest."""
+    peaks = [m.peak for m in operands]
+    exact = all(m.exact for m in operands)
+    if kind == "mul":
+        return ops.Magnitude(math.prod(peaks),
+                             sum(m.frac_bits for m in operands), exact)
+    return ops.Magnitude(sum(peaks) if kind == "add" else max(peaks),
+                         max(m.frac_bits for m in operands), exact)
 
 
 def _eval_join(join: JoinInfo, env: Dict[str, np.ndarray]) -> np.ndarray:

@@ -91,18 +91,22 @@ class CompiledGraphPlan:
     def byte_size(self) -> int:
         """Resident bytes the cache charges this plan for (weights + one
         input volume), from parameter shapes: the executor stays unbuilt."""
-        # GraphExecutor stores integer-mode weights as float64
+        # make_graph_weights stores float32 in either precision
         weights = param_bytes(((node.spec, node.input_shapes[0])
-                               for node in self.network),
-                              8 if self.key.precision == "int" else 4)
+                               for node in self.network), 4)
         shape = self.network.input_shape
         return weights + shape.elements * 8
 
     def execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Run a batch through the fused path; outputs are bit-identical
-        to per-item :meth:`GraphExecutor.run_reference` calls in integer
-        precision."""
-        return [self.executor.run_fused(np.asarray(x)) for x in xs]
+        """Run a batch through the fused path as one stacked
+        :meth:`GraphExecutor.run_fused` call (carried as
+        :meth:`GraphExecutor.batch_envs` decides); outputs are
+        bit-identical to per-item :meth:`GraphExecutor.run_reference`
+        calls in integer precision. An empty batch builds nothing."""
+        if len(xs) == 0:
+            return []
+        return list(self.executor.run_fused(
+            np.stack([np.asarray(x) for x in xs])))
 
     def describe(self) -> str:
         mode = "degraded " if self.degraded else ""

@@ -154,9 +154,9 @@ class CompiledPlan:
     geometry. The executor (deterministic weights per ``seed``) is built
     on first use, so a plan that is compiled, cached or loaded but never
     executed holds no weights. Execution is
-    :meth:`NetworkExecutor.run_batch`: one stacked call per
-    layer when ``"int"`` precision meets an exactness-preserving network
-    (see :func:`~repro.sim.network_exec.preserves_exact_arithmetic`), the
+    :meth:`NetworkExecutor.run_batch`: one stacked call per layer when
+    ``"int"`` precision meets a network whose layers cannot round (see
+    :attr:`~repro.sim.network_exec.NetworkExecutor.vectorized`), the
     per-item loop otherwise — bit-identical to per-item runs either way.
     """
 

@@ -5,7 +5,7 @@ from .fused import FusedExecutor, plan_levels
 from .memtrace import build_address_map, fused_trace, reference_trace
 from .ops import (apply_spec, avgpool2d, conv2d, fully_connected, lrn,
                   maxpool2d, pad2d, relu, run_level)
-from .network_exec import NetworkExecutor, preserves_exact_arithmetic
+from .network_exec import NetworkExecutor
 from .partitioned import PartitionedExecutor
 from .recompute import InputLineBuffer, RecomputeExecutor
 from .reference import ReferenceExecutor
@@ -47,7 +47,6 @@ __all__ = [
     "maxpool2d",
     "pad2d",
     "plan_levels",
-    "preserves_exact_arithmetic",
     "reference_trace",
     "relu",
     "save_params",

@@ -21,6 +21,7 @@ read exactly once and each output element written exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -67,6 +68,11 @@ class _Call(NamedTuple):
     input: np.ndarray
     trace: TrafficTrace
     states: List[Optional[MapReuseState]]
+
+    @property
+    def lead(self) -> Tuple[int, ...]:
+        """The batch axis the call carries (``()`` for one volume)."""
+        return self.input.shape[:-3]
 
 
 def plan_levels(levels: Sequence[Level], tip_h: int, tip_w: int) -> List[_LevelPlan]:
@@ -127,6 +133,9 @@ class FusedExecutor:
 
     The executor holds configuration only: every :meth:`run` allocates
     its own reuse buffers and trace, so threads may share one executor.
+    A run carries a leading batch axis of its input through every
+    window, buffer and operator, so one pass of the schedule serves a
+    stacked batch.
     """
 
     def __init__(self, levels: Sequence[Level],
@@ -160,17 +169,26 @@ class FusedExecutor:
     # -- public API -----------------------------------------------------------
 
     def run(self, x: np.ndarray, trace: Optional[TrafficTrace] = None) -> np.ndarray:
-        """Evaluate the fused group over input ``x``; returns the final map."""
+        """Evaluate the fused group over input ``x``; returns the final map.
+
+        ``x`` is one ``(C, H, W)`` volume or a stacked ``(B, C, H, W)``
+        batch. A batch's traffic is the sum of its items': each DRAM read
+        moves the block of every item at once (under one fault draw).
+        """
         first = self.levels[0].in_shape
-        if x.shape != (first.channels, first.height, first.width):
+        x = np.asarray(x, dtype=self.dtype)
+        if (x.ndim not in (3, 4)
+                or x.shape[-3:] != (first.channels, first.height, first.width)):
             raise ShapeError(f"input shape {x.shape} != expected {first}")
-        call = _Call(input=np.asarray(x, dtype=self.dtype),
+        call = _Call(input=x,
                      trace=trace if trace is not None else TrafficTrace(),
-                     states=[None if b is None else b.allocate(self.dtype)
+                     states=[None if b is None
+                             else b.allocate(self.dtype, x.shape[:-3])
                              for b in self.buffers])
         mark = obs.traffic_mark(call.trace)
         final = self.levels[-1].out_shape
-        out = np.zeros((final.channels, final.height, final.width), dtype=self.dtype)
+        out = np.zeros(call.lead + (final.channels, final.height, final.width),
+                       dtype=self.dtype)
 
         with obs.span("fused.run", levels=len(self.levels),
                       grid=f"{self.grid_rows}x{self.grid_cols}",
@@ -180,7 +198,7 @@ class FusedExecutor:
                     for q in range(self.grid_cols):
                         fresh, box = self._run_pyramid(call, p, q)
                         r0, r1, c0, c1 = box
-                        out[:, r0:r1, c0:c1] = fresh
+                        out[..., r0:r1, c0:c1] = fresh
                         call.trace.write("output", fresh.size)
                         obs.add_counter("sim.fused.pyramids", 1)
             obs.set_gauge("sim.fused.buffer_bytes", self.buffer_bytes)
@@ -230,8 +248,9 @@ class FusedExecutor:
                 # consumer needs was computed by earlier pyramids (possible
                 # near map edges, where a consumer's last rows/columns
                 # depend only on padding). Pass an empty block upward.
-                empty = np.zeros((level.out_channels, b_r - a_r, b_c - a_c),
-                                 dtype=self.dtype)
+                empty = np.zeros(
+                    call.lead + (level.out_channels, b_r - a_r, b_c - a_c),
+                    dtype=self.dtype)
                 pending = (empty, (a_r, b_r, a_c, b_c))
                 continue
             rlo, rhi = a_r * level.stride, plan.ib_r[p + 1]
@@ -242,7 +261,7 @@ class FusedExecutor:
             window = self._assemble(call, i, pending, rlo, rbt, rhi, clo, cbl, chi)
             self._update_buffers(call, i, window, p, q, rlo, rbt, rhi, clo, chi)
             fresh = ops.run_level(level, window, self.params, pad=0)
-            expect = (level.out_channels, b_r - a_r, b_c - a_c)
+            expect = call.lead + (level.out_channels, b_r - a_r, b_c - a_c)
             if fresh.shape != expect:
                 raise ShapeError(
                     f"{level.name}: fresh block {fresh.shape} != expected {expect}"
@@ -258,7 +277,8 @@ class FusedExecutor:
         level = self.plans[i].level
         state = call.states[i]
         channels = level.in_channels
-        window = np.zeros((channels, rhi - rlo, chi - clo), dtype=self.dtype)
+        window = np.zeros(call.lead + (channels, rhi - rlo, chi - clo),
+                          dtype=self.dtype)
 
         if state is None:
             # No reuse buffering at this map: the whole window is fresh
@@ -271,14 +291,14 @@ class FusedExecutor:
             return window
 
         if rbt > rlo:
-            window[:, :rbt - rlo, :] = state.read_bt(rlo, rbt, clo, chi)
+            window[..., :rbt - rlo, :] = state.read_bt(rlo, rbt, clo, chi)
         if cbl > clo:
-            window[:, rbt - rlo:, :cbl - clo] = state.read_bl(rbt, rhi, clo, cbl)
+            window[..., rbt - rlo:, :cbl - clo] = state.read_bl(rbt, rhi, clo, cbl)
         if i == 0:
             fresh = self._read_input(call, rbt, rhi, cbl, chi)
         else:
             fresh = self._place_fresh(i, pending, rbt, rhi, cbl, chi)
-        window[:, rbt - rlo:, cbl - clo:] = fresh
+        window[..., rbt - rlo:, cbl - clo:] = fresh
         return window
 
     def _update_buffers(self, call: _Call, i: int, window: np.ndarray, p: int,
@@ -295,7 +315,7 @@ class FusedExecutor:
         last_active_col = plan.ob_c[q + 1] >= plan.ob_c[-1]
         last_active_row = plan.ob_r[p + 1] >= plan.ob_r[-1]
         if state.o_h > 0 and not last_active_col:
-            state.write_bl(window[:, rbt - rlo:, chi - clo - state.o_h:],
+            state.write_bl(window[..., rbt - rlo:, chi - clo - state.o_h:],
                            row_lo=rbt, col_lo=chi - state.o_h)
         if state.o_v > 0 and not last_active_row:
             # Defer the last o_h columns to the next active pyramid (they
@@ -303,7 +323,7 @@ class FusedExecutor:
             # itself); the row's last active pyramid writes to the edge.
             w1 = chi if last_active_col else chi - state.o_h
             if w1 > clo:
-                state.write_bt(window[:, rhi - state.o_v - rlo:, :w1 - clo],
+                state.write_bt(window[..., rhi - state.o_v - rlo:, :w1 - clo],
                                row_lo=rhi - state.o_v, col_lo=clo, col_hi=w1)
 
     def _read_input(self, call: _Call, r0: int, r1: int, c0: int,
@@ -313,7 +333,7 @@ class FusedExecutor:
         block = self._pad_block(call.input, level.pad, r0, r1, c0, c1)
         real = self._real_elements(level.pad, level.in_shape, r0, r1, c0, c1)
         if real:
-            words = real * call.input.shape[0]
+            words = real * math.prod(call.input.shape[:-2])  # items x channels
             call.trace.read("input", words)
             if self._faults is not None:
                 self._repair_corrupt_read(call.trace, f"input[{r0}:{c0}]", words)
@@ -348,7 +368,7 @@ class FusedExecutor:
         fresh, (fr0, fr1, fc0, fc1) = pending
         level = self.plans[i].level
         pad = level.pad
-        block = np.zeros((fresh.shape[0], r1 - r0, c1 - c0), dtype=self.dtype)
+        block = np.zeros(fresh.shape[:-2] + (r1 - r0, c1 - c0), dtype=self.dtype)
         in_shape = level.in_shape
         u_r0 = min(max(r0 - pad, 0), in_shape.height)
         u_r1 = min(max(r1 - pad, 0), in_shape.height)
@@ -360,21 +380,21 @@ class FusedExecutor:
                 f"cover window demand {(u_r0, u_r1, u_c0, u_c1)}"
             )
         if u_r1 > u_r0 and u_c1 > u_c0:
-            block[:, pad + u_r0 - r0:pad + u_r1 - r0,
+            block[..., pad + u_r0 - r0:pad + u_r1 - r0,
                   pad + u_c0 - c0:pad + u_c1 - c0] = \
-                fresh[:, u_r0 - fr0:u_r1 - fr0, u_c0 - fc0:u_c1 - fc0]
+                fresh[..., u_r0 - fr0:u_r1 - fr0, u_c0 - fc0:u_c1 - fc0]
         return block
 
     @staticmethod
     def _pad_block(x: np.ndarray, pad: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block [r0,r1)x[c0,c1) of the zero-padded version of ``x``."""
-        channels, height, width = x.shape
-        block = np.zeros((channels, r1 - r0, c1 - c0), dtype=x.dtype)
+        height, width = x.shape[-2:]
+        block = np.zeros(x.shape[:-2] + (r1 - r0, c1 - c0), dtype=x.dtype)
         u_r0, u_r1 = max(r0 - pad, 0), min(r1 - pad, height)
         u_c0, u_c1 = max(c0 - pad, 0), min(c1 - pad, width)
         if u_r1 > u_r0 and u_c1 > u_c0:
-            block[:, pad + u_r0 - r0:pad + u_r1 - r0,
-                  pad + u_c0 - c0:pad + u_c1 - c0] = x[:, u_r0:u_r1, u_c0:u_c1]
+            block[..., pad + u_r0 - r0:pad + u_r1 - r0,
+                  pad + u_c0 - c0:pad + u_c1 - c0] = x[..., u_r0:u_r1, u_c0:u_c1]
         return block
 
     @staticmethod

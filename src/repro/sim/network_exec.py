@@ -16,35 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import LRNSpec, PoolSpec
 from .. import obs
 from ..nn.network import Network
 from ..nn.shapes import ShapeError
 from . import ops
 from .trace import TrafficTrace
 from .weights import make_network_weights
-
-
-def preserves_exact_arithmetic(network: Network) -> bool:
-    """True when every layer keeps integer-mode activations exact.
-
-    Convolution, ReLU, padding, max pooling, and dense layers map
-    integer-valued float64 tensors to exactly-representable values, as
-    does average pooling with a power-of-two window count (division by a
-    power of two is exact). LRN is not exact (``scale ** 0.75`` rounds),
-    and a rounded activation makes every downstream reduction
-    order-sensitive — so such networks must run batches item by item to
-    stay bit-identical.
-    """
-    for binding in network:
-        spec = binding.spec
-        if isinstance(spec, LRNSpec):
-            return False
-        if isinstance(spec, PoolSpec) and spec.mode == "avg":
-            count = spec.kernel * spec.kernel
-            if count & (count - 1):
-                return False
-    return True
 
 
 class NetworkExecutor:
@@ -63,9 +40,13 @@ class NetworkExecutor:
             network, seed=seed, integer=integer)
         #: One stacked call per layer is bit-identical to per-item runs
         #: only when all arithmetic is exact: integer mode on a network
-        #: that keeps it so. Float BLAS may block a wider matmul
-        #: differently and change final ULPs.
-        self.vectorized = integer and preserves_exact_arithmetic(network)
+        #: whose layers cannot round (the exact half of
+        #: :func:`repro.sim.ops.spec_magnitude`). Float BLAS may block a
+        #: wider matmul differently and change final ULPs.
+        magnitude = ops.Magnitude(0.0)
+        for binding in network:
+            magnitude = ops.spec_magnitude(binding.spec, magnitude)
+        self.vectorized = integer and magnitude.exact
 
     def run(self, x: np.ndarray, trace: Optional[TrafficTrace] = None) -> np.ndarray:
         """Evaluate the whole network; returns the final output volume."""

@@ -11,11 +11,17 @@ Two functions are the only code that maps a layer to an operator call:
 :func:`apply_spec` (one table keyed on spec type, for
 :class:`~repro.nn.network.Network` layers and graph nodes) and
 :func:`run_level` (for the windowed levels the fused executors tile).
+
+A second table keyed on spec type, :func:`spec_magnitude`, bounds what
+each operator does to integer-mode values: how large its output and
+every partial sum it forms can get, and whether it can round at all.
+That bound decides which float type may carry a computation exactly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import math
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,9 +120,15 @@ def lrn(x: np.ndarray, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
 
 def fully_connected(x: np.ndarray, weights: np.ndarray,
                     bias: "np.ndarray | None" = None) -> np.ndarray:
-    """Dense layer over the flattened input; returns (..., out, 1, 1)."""
-    flat = x.reshape(x.shape[:-3] + (-1, 1))
-    out = np.matmul(weights, flat)[..., 0]
+    """Dense layer over the flattened input; returns (..., out, 1, 1).
+
+    A stacked batch is one GEMM (items as rows), not one GEMV per item.
+    """
+    lead = x.shape[:-3]
+    if lead:
+        out = x.reshape(lead + (-1,)) @ weights.T
+    else:
+        out = np.matmul(weights, x.reshape(-1, 1))[:, 0]
     if bias is not None:
         out = out + bias
     return out[..., None, None].astype(x.dtype, copy=False)
@@ -153,6 +165,108 @@ def apply_spec(spec: LayerSpec, x: np.ndarray, params: Params) -> np.ndarray:
     if op is None:
         raise ShapeError(f"no operator for {spec!r}")
     return op(spec, x, params)
+
+
+# -- integer-mode magnitudes -------------------------------------------------------
+
+class Magnitude(NamedTuple):
+    """What integer-mode arithmetic can make of one tensor.
+
+    Every value of the tensor, and every partial sum the operator that
+    produced it formed, is a multiple of ``2**-frac_bits`` no larger
+    than ``peak`` in magnitude, unless ``exact`` is False: then some
+    operator upstream rounded (LRN, a non-power-of-two average pool, a
+    non-integral input) and no float type is guaranteed to carry the
+    values exactly.
+    """
+
+    peak: float
+    frac_bits: int = 0
+    exact: bool = True
+
+    @property
+    def bound(self) -> float:
+        """The peak in units of the finest fractional bit: float32 holds
+        every such value exactly below ``2**24``, float64 below ``2**53``."""
+        return self.peak * 2.0 ** self.frac_bits
+
+
+#: A weighted layer's largest filter L1 norm and largest |bias|.
+Norm = Tuple[float, float]
+
+
+def _weighted_magnitude(spec: LayerSpec, m: Magnitude,
+                        norm: Optional[Norm]) -> Magnitude:
+    # integer weights keep the grid; a sum of |w| * peak plus the bias
+    # bounds every partial sum, whatever the summation order
+    if norm is None or math.isinf(m.peak):
+        return m._replace(peak=math.inf)
+    l1, bias = norm
+    return m._replace(peak=l1 * m.peak + bias)
+
+
+def _pool_magnitude(spec: PoolSpec, m: Magnitude,
+                    norm: Optional[Norm]) -> Magnitude:
+    if spec.mode == "max":
+        return m
+    count = spec.kernel * spec.kernel
+    if count & (count - 1):
+        return m._replace(exact=False)  # the quotient rounds
+    # the window sum reaches count * peak; dividing by a power of two is
+    # exact and moves those bits below the point
+    return m._replace(frac_bits=m.frac_bits + count.bit_length() - 1)
+
+
+def _lrn_magnitude(spec: LRNSpec, m: Magnitude,
+                   norm: Optional[Norm]) -> Magnitude:
+    # x / (k + ...)**beta rounds; its magnitude is at most |x| / k**beta
+    peak = m.peak / spec.k ** spec.beta if spec.k > 0 else math.inf
+    return m._replace(peak=peak, exact=False)
+
+
+#: Spec type -> ``rule(spec, m, norm)``: the magnitude of the layer's
+#: output given its input's; ``norm`` is a weighted layer's, or None when
+#: its weights are unknown or not integers.
+SPEC_MAGNITUDES: Dict[type, Callable[[LayerSpec, Magnitude, Optional[Norm]],
+                                     Magnitude]] = {
+    ConvSpec: _weighted_magnitude,
+    FCSpec: _weighted_magnitude,
+    PoolSpec: _pool_magnitude,
+    ReLUSpec: lambda spec, m, norm: m,
+    PadSpec: lambda spec, m, norm: m,
+    LRNSpec: _lrn_magnitude,
+}
+
+
+def spec_magnitude(spec: LayerSpec, m: Magnitude,
+                   norm: Optional[Norm] = None) -> Magnitude:
+    """Magnitude of one layer's output over an input of magnitude ``m``."""
+    rule = SPEC_MAGNITUDES.get(type(spec))
+    if rule is None:
+        raise ShapeError(f"no magnitude rule for {spec!r}")
+    return rule(spec, m, norm)
+
+
+def weight_norms(params: Params) -> Dict[str, Optional[Norm]]:
+    """Each weighted layer's :data:`Norm`, or None when any of its
+    weights or biases is not an integer (integer mode's contract).
+
+    Filters are read in blocks of about 32K weights, so the pass makes
+    no whole-tensor temporaries: those would fault in fresh pages and
+    leave the allocator holding memory the served batches never use.
+    """
+    norms: Dict[str, Optional[Norm]] = {}
+    for name, (w, b) in (params or {}).items():
+        rows = w.reshape(w.shape[0], -1)
+        step = max(1, 2 ** 15 // max(1, rows.shape[1]))
+        l1, integral = 0.0, np.array_equal(b, np.rint(b))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            integral = integral and np.array_equal(block, np.rint(block))
+            l1 = max(l1, float(np.abs(block).sum(axis=1).max()))
+        norms[name] = ((l1, float(np.abs(b).max(initial=0.0)))
+                       if integral else None)
+    return norms
 
 
 def run_level(level: Level, x: np.ndarray, params: Params,

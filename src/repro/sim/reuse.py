@@ -19,7 +19,7 @@ the paper's accelerator would not have on chip.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class BufferSpec:
     def buffer_elements(self) -> int:
         return self.channels * (self.o_v * self.wp + self.max_bl_rows * self.o_h)
 
-    def allocate(self, dtype) -> "MapReuseState":
-        return MapReuseState(**asdict(self), dtype=dtype)
+    def allocate(self, dtype, lead: Tuple[int, ...] = ()) -> "MapReuseState":
+        """Buffers for one run; ``lead`` is its batch axis, if any."""
+        return MapReuseState(**asdict(self), dtype=dtype, lead=lead)
 
 
 class MapReuseState:
@@ -58,11 +59,14 @@ class MapReuseState:
     Coordinates are absolute indices into the consumer's *padded* input
     space (``hp x wp``). ``o_v``/``o_h`` are the consumer's vertical and
     horizontal overlaps (``K - S``); ``max_bl_rows`` is the tallest input
-    window (the first pyramid row's), which bounds BL height.
+    window (the first pyramid row's), which bounds BL height. A stacked
+    batch gives both buffers its leading axis ``lead``; every item sits
+    at the same coordinates, so one set of tags serves them all.
     """
 
     def __init__(self, name: str, channels: int, hp: int, wp: int,
-                 o_v: int, o_h: int, max_bl_rows: int, dtype=np.float32):
+                 o_v: int, o_h: int, max_bl_rows: int, dtype=np.float32,
+                 lead: Tuple[int, ...] = ()):
         self.name = name
         self.channels = channels
         self.hp = hp
@@ -70,13 +74,14 @@ class MapReuseState:
         self.o_v = o_v
         self.o_h = o_h
         self.bt: Optional[np.ndarray] = (
-            np.zeros((channels, o_v, wp), dtype) if o_v > 0 else None
+            np.zeros(lead + (channels, o_v, wp), dtype) if o_v > 0 else None
         )
         # Absolute row index stored in bt[:, 0, col] for each column;
         # -1 = nothing resident.
         self.bt_row_tag = np.full(wp, -1, dtype=np.int64)
         self.bl: Optional[np.ndarray] = (
-            np.zeros((channels, max_bl_rows, o_h), dtype) if o_h > 0 else None
+            np.zeros(lead + (channels, max_bl_rows, o_h), dtype)
+            if o_h > 0 else None
         )
         self.bl_row_base = -1
         self.bl_rows = 0
@@ -110,18 +115,18 @@ class MapReuseState:
                 f"{self.name}: BT cols [{col_lo},{col_hi}) do not hold row {row_lo} "
                 f"(tags {np.unique(tags)})"
             )
-        return self.bt[:, :height, col_lo:col_hi]
+        return self.bt[..., :height, col_lo:col_hi]
 
     def write_bt(self, data: np.ndarray, row_lo: int, col_lo: int, col_hi: int) -> None:
         """Store rows starting at absolute ``row_lo`` for ``[col_lo, col_hi)``."""
         if self.bt is None:
             raise ReuseError(f"{self.name}: BT write but no vertical overlap")
-        height = data.shape[1]
+        height = data.shape[-2]
         if height > self.o_v:
             raise ReuseError(
                 f"{self.name}: BT write of {height} rows exceeds capacity {self.o_v}"
             )
-        self.bt[:, :height, col_lo:col_hi] = data
+        self.bt[..., :height, col_lo:col_hi] = data
         self.bt_row_tag[col_lo:col_hi] = row_lo
 
     # -- BL -------------------------------------------------------------------
@@ -147,19 +152,19 @@ class MapReuseState:
                 f"{self.bl_row_base + self.bl_rows}) do not cover [{row_lo},{row_hi})"
             )
         off = row_lo - self.bl_row_base
-        return self.bl[:, off:off + (row_hi - row_lo), :width]
+        return self.bl[..., off:off + (row_hi - row_lo), :width]
 
     def write_bl(self, data: np.ndarray, row_lo: int, col_lo: int) -> None:
         """Replace BL with ``data`` (rows from ``row_lo``, cols from ``col_lo``)."""
         if self.bl is None:
             raise ReuseError(f"{self.name}: BL write but no horizontal overlap")
-        rows, width = data.shape[1], data.shape[2]
-        if rows > self.bl.shape[1] or width > self.o_h:
+        rows, width = data.shape[-2:]
+        if rows > self.bl.shape[-2] or width > self.o_h:
             raise ReuseError(
                 f"{self.name}: BL write {rows}x{width} exceeds capacity "
-                f"{self.bl.shape[1]}x{self.o_h}"
+                f"{self.bl.shape[-2]}x{self.o_h}"
             )
-        self.bl[:, :rows, :width] = data
+        self.bl[..., :rows, :width] = data
         self.bl_row_base = row_lo
         self.bl_rows = rows
         self.bl_col_base = col_lo

@@ -61,6 +61,10 @@ def make_level_weights(levels, seed: int = 0, integer: bool = False,
     return params
 
 
+#: Largest |value| of an integer-mode :func:`make_input` volume.
+INPUT_PEAK = 3
+
+
 def make_input(shape, seed: int = 0, integer: bool = False,
                dtype=None) -> np.ndarray:
     """A deterministic input volume of the given :class:`TensorShape`."""
@@ -69,7 +73,8 @@ def make_input(shape, seed: int = 0, integer: bool = False,
     rng = np.random.default_rng(seed + 1_000_003)
     dims = (shape.channels, shape.height, shape.width)
     if integer:
-        return rng.integers(-3, 4, size=dims).astype(dtype)
+        return rng.integers(-INPUT_PEAK, INPUT_PEAK + 1,
+                            size=dims).astype(dtype)
     return rng.standard_normal(dims).astype(dtype)
 
 

@@ -5,13 +5,19 @@ producing their exact diagnostic codes (and exit code 2) forever.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.check import check_graph_dict, check_graph_network
+from repro.check.graph import check_graph_plan_dict
 from repro.cli import main
-from repro.graph import lower_graph
+from repro.graph import EltwiseSpec, GraphNetwork, compile_graph_plan, lower_graph
+from repro.graph import executor as graph_executor
+from repro.graph.executor import contract_bound, default_decisions
+from repro.nn.layers import ConvSpec, ReLUSpec
+from repro.nn.shapes import TensorShape
 
 from ..graph.conftest import tiny_concat, tiny_residual
 
@@ -90,3 +96,65 @@ class TestGraphCheckUnits:
 
     def test_non_dict_payload_rc705(self):
         assert [d.code for d in check_graph_dict([1, 2])] == ["RC705"]
+
+
+def residual_chain(blocks: int) -> GraphNetwork:
+    """``blocks`` residual blocks of two 1x1 convolutions each: under the
+    single-tap contract every block maps a bound ``m`` to ``2m + 4``."""
+    net = GraphNetwork(f"chain{blocks}", TensorShape(4, 6, 6))
+    prev = "input"
+    for i in range(blocks):
+        net.add(ConvSpec(f"b{i}_c1", kernel=1, stride=1, out_channels=4),
+                inputs=(prev,))
+        net.add(ReLUSpec(f"b{i}_r1"))
+        body = net.add(ConvSpec(f"b{i}_c2", kernel=1, stride=1,
+                                out_channels=4))
+        net.add(EltwiseSpec(f"b{i}_add", op="add"), inputs=(body, prev))
+        prev = net.add(ReLUSpec(f"b{i}_out"))
+    return net
+
+
+class TestExactnessBound:
+    """RC707: integer-mode exactness that the bound cannot prove."""
+
+    @pytest.mark.parametrize("blocks, log2_bound", [(20, 22.8), (30, 32.8),
+                                                    (52, 54.8)])
+    def test_chain_bound(self, blocks, log2_bound):
+        bound, exact = contract_bound(residual_chain(blocks))
+        assert exact and round(math.log2(bound), 1) == log2_bound
+
+    def test_only_a_bound_past_2_53_warns(self):
+        assert check_graph_network(residual_chain(30)) == []
+        (finding,) = check_graph_network(residual_chain(52))
+        assert finding.code == "RC707" and not finding.is_error
+
+    def test_cli_exits_clean_unless_strict(self, capsys, tmp_path):
+        path = tmp_path / "chain52.json"
+        path.write_text(json.dumps(residual_chain(52).to_dict()))
+        code, found = run_check(capsys, "--graph", str(path), "--strict")
+        assert (code, found) == (2, ["RC707"])
+        main(["check", "--graph", str(path)])  # a warning alone exits 0
+
+    @pytest.mark.parametrize("precision", ["int", "float"])
+    def test_plan_records_warn_in_integer_precision_only(self, precision):
+        net = residual_chain(52)
+        plan = compile_graph_plan(
+            net, precision=precision,
+            decisions=default_decisions(lower_graph(net)))
+        codes = [d.code for d in check_graph_plan_dict(plan.to_dict())]
+        assert codes == (["RC707"] if precision == "int" else [])
+
+    def test_builds_no_weights(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bound must not build weights")
+
+        monkeypatch.setattr(graph_executor, "make_graph_weights", forbidden)
+        net = residual_chain(52)
+        compile_graph_plan(net, decisions=default_decisions(lower_graph(net)))
+        assert [d.code for d in check_graph_network(net)] == ["RC707"]
+
+    def test_zoo_networks_at_default_size_draw_nothing(self):
+        from repro.graph import GRAPH_ZOO
+
+        for builder, _ in GRAPH_ZOO.values():
+            assert check_graph_network(builder()) == []

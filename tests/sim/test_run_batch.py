@@ -18,8 +18,8 @@ from repro.nn.layers import LRNSpec
 from repro.nn.shapes import ShapeError
 from repro.nn.zoo import alexnet, nin_cifar, toynet
 from repro.obs import capture
-from repro.sim import NetworkExecutor, TrafficTrace, preserves_exact_arithmetic
-from repro.sim.ops import lrn
+from repro.sim import NetworkExecutor, TrafficTrace
+from repro.sim.ops import Magnitude, lrn, spec_magnitude
 
 
 def _inputs(network, n, seed=7):
@@ -90,16 +90,25 @@ def test_lrn_batched_matches_per_item_operator():
     assert np.array_equal(out[1], lrn(x + 1.0))
 
 
+def _exact(network):
+    """The exact half of the magnitude rules, as the executor reads it."""
+    magnitude = Magnitude(0.0)
+    for binding in network:
+        magnitude = spec_magnitude(binding.spec, magnitude)
+    return magnitude.exact
+
+
 def test_exactness_gate():
     """LRN (and non-power-of-two average pooling) breaks the exact-integer
     regime, so those networks must run batches item by item."""
-    assert preserves_exact_arithmetic(toynet())
-    assert preserves_exact_arithmetic(nin_cifar())  # 8x8 avg pool: exact
-    assert not preserves_exact_arithmetic(alexnet())  # LRN rounds
+    assert _exact(toynet())
+    assert _exact(nin_cifar())  # 8x8 avg pool: exact
+    assert not _exact(alexnet())  # LRN rounds
     inexact_avg = Network("avg9", TensorShape(3, 9, 9), [
         PoolSpec("p1", kernel=3, stride=3, mode="avg"),
     ])
-    assert not preserves_exact_arithmetic(inexact_avg)
+    assert not _exact(inexact_avg)
+    assert not NetworkExecutor(inexact_avg, integer=True).vectorized
 
 
 def test_run_batch_emits_one_run_span_per_item():

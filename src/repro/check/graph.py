@@ -163,6 +163,7 @@ def check_graph_network(network: Any, program: Any = None,
     from ..graph.executor import contract_bound
     from ..graph.ir import INPUT, GraphError, JOIN_SPECS
     from ..graph.lower import lower_graph
+    from ..sim.weights import INPUT_PEAK
 
     out: List[Diagnostic] = []
     site = site or network.name
@@ -223,7 +224,8 @@ def check_graph_network(network: Any, program: Any = None,
     if bound >= 2.0 ** 53:
         out.append(diag(
             "RC707", f"integer-mode values may reach 2^{math.log2(bound):.1f}"
-            " >= 2^53 (single-tap weights, |bias| <= 2, |input| <= 3): "
+            f" >= 2^53 (single-tap weights, |bias| <= 2, |input| <= "
+            f"{INPUT_PEAK}): "
             "float64 cannot carry them exactly, so fused-vs-reference "
             "bit-identity is not guaranteed", site=site,
             log2_bound=round(math.log2(bound), 1)))

@@ -646,14 +646,12 @@ def cmd_serve_bench(args) -> None:
     from .core import Strategy
     from .faults import RetryPolicy
     from .serve import InferenceService, PlanCache, ServeOverloadError
-    from .sim import NetworkExecutor
+    from .sim import NetworkExecutor, make_input
 
     network = _network(args.network, input_size=args.input_size, graph=True)
-    shape = network.input_shape
-    rng = np.random.default_rng(args.fault_seed)
-    dims = (shape.channels, shape.height, shape.width)
-    xs = [np.round(rng.uniform(-4.0, 4.0, size=dims))
-          for _ in range(args.requests)]
+    xs = [make_input(network.input_shape, seed=args.fault_seed + i,
+                     integer=args.precision == "int")
+          for i in range(args.requests)]
 
     cache = PlanCache()
     loaded = 0
@@ -781,10 +779,9 @@ def cmd_slo(args) -> None:
     """
     import json
 
-    import numpy as np
-
     from .obs.slo import SLOTarget
     from .serve import InferenceService
+    from .sim import make_input
 
     target = SLOTarget(latency_ms=args.target_ms,
                        percentile=args.percentile,
@@ -794,11 +791,9 @@ def cmd_slo(args) -> None:
     plan = faults_mod.get_active_plan()
     injector = plan.injector() if plan is not None else None
     network = _network(args.network)
-    shape = network.input_shape
-    rng = np.random.default_rng(args.fault_seed)
-    dims = (shape.channels, shape.height, shape.width)
-    xs = [np.round(rng.uniform(-4.0, 4.0, size=dims))
-          for _ in range(args.requests)]
+    xs = [make_input(network.input_shape, seed=args.fault_seed + i,
+                     integer=True)
+          for i in range(args.requests)]
 
     svc = InferenceService(network, workers=args.workers,
                            max_batch=args.max_batch,

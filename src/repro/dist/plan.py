@@ -15,15 +15,12 @@ Two things are deliberately decoupled:
   base plan's execution atoms (:func:`~repro.dist.stage.linear_atoms` or
   :func:`~repro.graph.executor.graph_atoms`, the lists the estimate was
   priced from) by the stage split, without building the base executor.
-  A batch crosses every stage in turn, carried as the base executor
-  carries it (stacked when its exactness rules allow, item by item
-  otherwise). Linear stages apply their atoms' layer bindings through
-  :func:`repro.sim.ops.apply_spec` with the base executor's weights,
-  graph stages run their atoms through
-  :meth:`~repro.graph.executor.GraphExecutor.run_atom` (the routine
-  ``run_fused`` uses), so outputs are **bit-identical** to direct
-  execution, including under fault plans (faults live inside the
-  unchanged fused executors);
+  A batch crosses every stage in turn, carried as the base executor's
+  ``batch_envs`` carries it (the one stacking rule,
+  :func:`repro.sim.ops.carrying_dtype`), and each stage runs its atoms
+  through the base executor's ``run_atom`` — the routine its own runs
+  use — so outputs are **bit-identical** to direct execution, including
+  under fault plans (faults live inside the unchanged fused executors);
 * **timing** is priced in virtual cycles by the frozen stage costs
   (:meth:`PipelineEstimate.simulate` runs a micro-batch through them);
   every ``execute`` call records each stage's wall-clock interval
@@ -52,7 +49,6 @@ from ..errors import ConfigError
 from ..hw.device import DeviceSpec
 from ..hw.link import DEFAULT_LINK, LinkSpec
 from ..graph.ir import INPUT
-from ..sim import ops
 from .stage import PipelineEstimate, balance_stages, linear_atoms, plan_atoms
 
 
@@ -121,8 +117,7 @@ class PipelinePlan:
         self.seed = base.seed
         self.degraded = base.degraded
         self._tls = threading.local()
-        self._graph = base.key.family == "graph"
-        if self._graph:
+        if base.key.family == "graph":
             from ..graph.executor import graph_atoms
 
             atoms = graph_atoms(base.program, base.decisions)
@@ -173,13 +168,12 @@ class PipelinePlan:
         """Run a batch stage by stage; bit-identical to the base plan.
 
         The whole batch crosses each stage before the next one starts,
-        carried as the base executor carries it: graph batches as
-        :meth:`~repro.graph.executor.GraphExecutor.batch_envs` decides,
-        linear batches stacked when
-        :attr:`~repro.sim.network_exec.NetworkExecutor.vectorized` holds
-        and item by item otherwise. The pipeline overlap is priced, not
-        run; each stage's wall-clock interval lands in
-        ``last_stage_report``.
+        carried as the base executor's ``batch_envs`` decides — one
+        stacked array where :func:`repro.sim.ops.carrying_dtype` allows,
+        item by item otherwise, for linear and graph plans alike — and
+        each stage runs its atoms through the executor's ``run_atom``.
+        The pipeline overlap is priced, not run; each stage's wall-clock
+        interval lands in ``last_stage_report``.
         """
         items = [np.asarray(x) for x in xs]
         if not items:
@@ -188,32 +182,18 @@ class PipelinePlan:
         report: List[Dict[str, Any]] = []
         with obs.span("dist.execute", network=self.network.name,
                       devices=self.num_stages, batch=len(items)) as span:
-            if self._graph:
-                carriers = executor.batch_envs(np.stack(items))
-                span.set(dtype=carriers[0][INPUT].dtype.name)
-            else:
-                carriers = ([np.stack(items)] if executor.vectorized
-                            else items)
-                span.set(dtype=carriers[0].dtype.name)
+            envs = executor.batch_envs(np.stack(items))
+            span.set(dtype=envs[0][INPUT].dtype.name)
             for idx, atoms in enumerate(self._stage_atoms):
                 start = time.perf_counter()
-                for i, carrier in enumerate(carriers):
+                for env in envs:
                     for atom in atoms:
-                        if self._graph:
-                            executor.run_atom(atom, carrier)
-                        else:
-                            for binding in atom.bindings:
-                                carrier = ops.apply_spec(
-                                    binding.spec, carrier, executor.params)
-                    carriers[i] = carrier
+                        executor.run_atom(atom, env)
                 report.append({"stage": idx,
                                "device": self.devices[idx].name,
                                "start_s": start,
                                "end_s": time.perf_counter()})
-        if self._graph:
-            outs = list(executor.batch_outputs(carriers))
-        else:
-            outs = list(carriers[0]) if executor.vectorized else carriers
+        outs = list(executor.batch_outputs(envs))
         self._tls.report = report
         obs.add_counter("dist.items_executed", len(items))
         obs.add_counter("dist.link_bytes",

@@ -290,8 +290,7 @@ def _price_linear(network, atoms: Sequence[LinearAtom]) -> List[GroupAtom]:
     last, tail = priced[-1], atoms[-1].tail
     priced[-1] = replace(
         last, ops=last.ops + sum(b.total_ops for b in tail),
-        weight_bytes=last.weight_bytes + param_bytes(
-            ((b.spec, b.input_shape) for b in tail), BYTES_PER_WORD),
+        weight_bytes=last.weight_bytes + param_bytes(tail, BYTES_PER_WORD),
         writes=(("output", tail[-1].output_shape.bytes if tail
                  else last.writes[0][1]),))
     return priced
@@ -328,7 +327,7 @@ def _price_graph(atom) -> GroupAtom:
         node = rider.node
         in_shape = node.input_shapes[0]
         ops += node.spec.total_ops(in_shape)
-        weight_bytes += param_bytes([(node.spec, in_shape)], BYTES_PER_WORD)
+        weight_bytes += param_bytes([node], BYTES_PER_WORD)
         reads.append((rider.input_tensor, in_shape.bytes, False))
         writes.append((rider.output_tensor, node.output_shape.bytes))
     return _group_atom(atom.index, atom.name, levels, reads, writes,

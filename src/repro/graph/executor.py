@@ -11,17 +11,18 @@ the body's DRAM output write with the join-output write, and the
 boundary joins and opaque steps riding on the atom evaluate as NumPy
 ops. Pipeline stages (:mod:`repro.dist.plan`) run slices of the same
 list through the same :meth:`GraphExecutor.run_atom`, and
-:func:`repro.dist.stage.plan_atoms` prices it. In integer mode (small
-integer weights) the fused and reference paths are **bit-identical**,
-including under ``transfer_corrupt`` fault plans — corrupted reads are
-detected and repaired inside the fused executor, never changing results.
+:func:`repro.dist.stage.plan_atoms` prices it. In integer mode (the
+single-tap contract of :mod:`repro.sim.weights`) the fused and
+reference paths are **bit-identical**, including under
+``transfer_corrupt`` fault plans — corrupted reads are detected and
+repaired inside the fused executor, never changing results.
 
 A batch runs stacked when arithmetic cannot round: :func:`graph_bound`
 bounds every activation and partial sum from the weights and the
-batch's largest |input|, and the batch is carried as one ``(B, C, H,
-W)`` array in float32 below 2^24, in float64 below 2^53, and item by
-item in float64 otherwise (see :meth:`GraphExecutor.batch_envs`).
-Integer-mode outputs are float64 either way.
+batch's largest |input|, and :func:`repro.sim.ops.carrying_dtype` (the
+rule linear networks share) carries the batch as one ``(B, C, H, W)``
+array in float32 below 2^24, in float64 below 2^53, and item by item in
+float64 otherwise. Integer-mode outputs are float64 either way.
 
 Observability: every atom runs inside a ``graph.atom[<segment>.g<i>]``
 span (under ``graph.run`` on the direct path, under ``dist.execute`` in
@@ -49,61 +50,15 @@ from ..nn.stages import Level
 from ..sim import ops
 from ..sim.fused import FusedExecutor
 from ..sim.trace import TrafficTrace
-from ..sim.weights import INPUT_PEAK, make_input, param_shape
+from ..sim.weights import (INPUT_PEAK, SINGLE_TAP_NORM, make_input,
+                           make_network_weights)
 from .explore import SegmentDecision
 from .ir import INPUT, JOIN_SPECS, EltwiseSpec, GraphNetwork
 from .lower import GraphProgram, JoinInfo, JoinStep, OpaqueStep, SegmentStep, lower_graph
 
 
-#: :func:`make_graph_weights`'s integer contract as a
-#: :data:`~repro.sim.ops.Norm`: every filter holds one ``±1`` tap (L1
-#: norm 1) and every bias is an integer in ``[-2, 2]``.
-SINGLE_TAP_NORM = (1.0, 2.0)
-
-
-def make_graph_weights(network: GraphNetwork, seed: int = 0,
-                       integer: bool = False
-                       ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Weights and biases for every parameterized node, keyed by node name.
-
-    Follows the :func:`repro.sim.weights.make_level_weights` convention —
-    one seeded generator drawn in topological order — with two
-    differences. Storage is float32 in either mode, like the paper's
-    accelerator (Sec. VI-A): integer-mode weights are ``0`` and ``±1``
-    with biases in ``[-2, 2]``, all exact in float32, and a computation
-    carries them into float64 wherever it runs in float64. And
-    integer-mode filters are *single-tap*. Each output filter has
-    exactly one nonzero weight, ``+1`` or ``-1``, at a random (channel,
-    ky, kx) position, plus a small integer bias (:data:`SINGLE_TAP_NORM`).
-    Dense small-integer weights (the linear convention) grow activations
-    multiplicatively with depth; a 50-layer ResNet exceeds float64's
-    2^53 exact-integer range, at which point BLAS summation order becomes
-    observable and fused-vs-reference bit-identity is luck, not a
-    guarantee. A single-tap filter adds at most ``|bias|`` per layer (and
-    one doubling per residual join), so :func:`graph_bound` keeps every
-    zoo network at its test size below float32's 2^24 — while the
-    filters remain maximally position-sensitive: any misplaced window,
-    halo, or stride in the fused path shifts the sampled tap and changes
-    the output.
-    """
-    rng = np.random.default_rng(seed)
-    params: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for node in network:
-        shape = param_shape(node.spec, node.input_shapes[0])
-        if shape is None:
-            continue
-        fan_in = int(np.prod(shape[1:]))
-        if integer:
-            w = np.zeros(shape, dtype=np.float32)
-            taps = rng.integers(0, fan_in, size=shape[0])
-            signs = (rng.integers(0, 2, size=shape[0]) * 2 - 1)
-            w.reshape(shape[0], -1)[np.arange(shape[0]), taps] = signs
-            b = rng.integers(-2, 3, size=(shape[0],)).astype(np.float32)
-        else:
-            w = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32)
-            b = (rng.standard_normal(shape[0]) * 0.1).astype(np.float32)
-        params[node.name] = (w, b)
-    return params
+#: The one weight generator, under the name the graph package exports.
+make_graph_weights = make_network_weights
 
 
 def graph_bound(network: GraphNetwork, peak: float,
@@ -132,9 +87,9 @@ def graph_bound(network: GraphNetwork, peak: float,
 
 
 def contract_bound(network: GraphNetwork) -> Tuple[float, bool]:
-    """:func:`graph_bound` for integer-mode weights from
-    :func:`make_graph_weights` and inputs from
-    :func:`~repro.sim.weights.make_input`, from the network's shapes
+    """:func:`graph_bound` under the integer contract of
+    :mod:`repro.sim.weights` (single-tap weights, inputs no larger than
+    :data:`~repro.sim.weights.INPUT_PEAK`), from the network's shapes
     alone: it builds no weights."""
     return graph_bound(network, INPUT_PEAK,
                        dict.fromkeys((node.name for node in network),
@@ -293,7 +248,7 @@ class GraphExecutor:
     params:
         ``{node_name: (weights, bias)}``; generated deterministically
         from ``seed`` when omitted (float32, see
-        :func:`make_graph_weights`).
+        :func:`~repro.sim.weights.make_network_weights`).
     tip:
         Pyramid tip for fused groups; per group the largest divisor of
         the output map not exceeding it is used. ``None`` (default) runs
@@ -305,7 +260,7 @@ class GraphExecutor:
         runs every batch item by item, so it draws them per item.
 
     Inputs and outputs are :attr:`dtype`: float64 in integer mode,
-    float32 otherwise.
+    float32 otherwise; a batch is carried as :meth:`batch_envs` decides.
     """
 
     def __init__(self, network: GraphNetwork,
@@ -319,7 +274,7 @@ class GraphExecutor:
         self.seed = seed
         self.integer = integer
         self.dtype = np.dtype(np.float64 if integer else np.float32)
-        self.params = params if params is not None else make_graph_weights(
+        self.params = params if params is not None else make_network_weights(
             network, seed=seed, integer=integer)
         self.decisions = check_decisions(
             self.program, decisions if decisions is not None
@@ -361,7 +316,7 @@ class GraphExecutor:
     def make_input(self, seed: Optional[int] = None) -> np.ndarray:
         return make_input(self.network.input_shape,
                           seed=self.seed if seed is None else seed,
-                          integer=self.integer, dtype=self.dtype)
+                          integer=self.integer)
 
     # -- reference path -------------------------------------------------------
 
@@ -430,34 +385,25 @@ class GraphExecutor:
 
         In integer mode a batch of integers stays stacked when
         :func:`graph_bound` proves every value exact in the carrying
-        type: one environment, float32 below 2^24 and float64 below
-        2^53. Otherwise — an operator that rounds, a non-integral input,
-        a larger bound, a fault injector, or float mode — each item gets
-        its own environment holding one volume in :attr:`dtype`, the
-        computation a single-item run makes; integer-mode batches that
-        take this path count in ``graph.per_item_batches``.
+        type (:func:`repro.sim.ops.carrying_dtype`): one environment,
+        float32 below 2^24 and float64 below 2^53. Otherwise — an
+        operator that rounds, a non-integral input, a larger bound, a
+        fault injector, or float mode — each item gets its own
+        environment holding one volume in :attr:`dtype`, the computation
+        a single-item run makes; integer-mode batches that take this path
+        count in ``graph.per_item_batches``.
         """
         expected = self.network.input_shape
         if xs.ndim != 4 or xs.shape[1:] != (expected.channels,
                                             expected.height, expected.width):
             raise ShapeError(f"input {xs.shape} != network input {expected}")
-        carry = self._carrying_dtype(xs)
+        carry = (ops.carrying_dtype(xs, self._bound)
+                 if self.integer and self._faults is None else None)
         if carry is not None:
             return [{INPUT: xs.astype(carry)}]
         if self.integer:
             obs.add_counter("graph.per_item_batches")
         return [{INPUT: np.asarray(x, dtype=self.dtype)} for x in xs]
-
-    def _carrying_dtype(self, xs: np.ndarray):
-        """The dtype a stacked batch may carry, or None (item by item)."""
-        if not self.integer or self._faults is not None:
-            return None
-        if not np.array_equal(xs, np.rint(xs)):
-            return None
-        bound, exact = self._bound(float(np.abs(xs).max(initial=0.0)))
-        if not exact or bound >= 2.0 ** 53:
-            return None
-        return np.float32 if bound < 2.0 ** 24 else np.float64
 
     def batch_outputs(self, envs: Sequence[Dict[str, np.ndarray]]
                       ) -> np.ndarray:

@@ -91,9 +91,8 @@ class CompiledGraphPlan:
     def byte_size(self) -> int:
         """Resident bytes the cache charges this plan for (weights + one
         input volume), from parameter shapes: the executor stays unbuilt."""
-        # make_graph_weights stores float32 in either precision
-        weights = param_bytes(((node.spec, node.input_shapes[0])
-                               for node in self.network), 4)
+        # make_network_weights stores float32 in either precision
+        weights = param_bytes(self.network, 4)
         shape = self.network.input_shape
         return weights + shape.elements * 8
 

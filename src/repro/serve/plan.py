@@ -154,10 +154,12 @@ class CompiledPlan:
     geometry. The executor (deterministic weights per ``seed``) is built
     on first use, so a plan that is compiled, cached or loaded but never
     executed holds no weights. Execution is
-    :meth:`NetworkExecutor.run_batch`: one stacked call per layer when
-    ``"int"`` precision meets a network whose layers cannot round (see
-    :attr:`~repro.sim.network_exec.NetworkExecutor.vectorized`), the
-    per-item loop otherwise — bit-identical to per-item runs either way.
+    :meth:`NetworkExecutor.run_batch`, carried as
+    :meth:`~repro.sim.network_exec.NetworkExecutor.batch_envs` decides by
+    the stacking rule graph plans share: in ``"int"`` precision one
+    stacked float32 (or float64) call per layer where the magnitude bound
+    allows, the per-item loop otherwise — bit-identical to per-item runs
+    either way.
     """
 
     def __init__(self, key: PlanKey, network: Network,
@@ -185,8 +187,7 @@ class CompiledPlan:
         """Resident bytes the cache charges this plan for (weights + one
         input volume), from parameter shapes: the executor stays unbuilt."""
         # make_network_weights stores float32 in either precision
-        weights = param_bytes(((b.spec, b.input_shape) for b in self.network),
-                              4)
+        weights = param_bytes(self.network, 4)
         shape = self.network.input_shape
         return weights + shape.elements * 8
 

@@ -47,6 +47,7 @@ from ..faults.injector import FaultInjector
 from ..nn.network import Network
 from ..nn.stages import extract_levels
 from ..sim.network_exec import NetworkExecutor
+from ..sim.weights import make_input
 from .autoscale import Autoscaler, AutoscalePolicy, ScaleEvent
 from .clock import ManualClock
 from .loadgen import Arrival, make_trace
@@ -229,14 +230,6 @@ def run_soak(networks: Sequence[Network], requests: int = 100_000, *,
     spot_inputs: Dict[int, np.ndarray] = {}
     placeholder = np.empty(0)
 
-    def _input_for(rid: int, net_index: int) -> np.ndarray:
-        shape = networks[net_index].input_shape
-        rng = np.random.default_rng([seed, rid])
-        # integer-valued float64: the repo's exact-arithmetic convention
-        # (int64 would break LRN's float scale math on gated networks)
-        return rng.integers(0, 8, size=(shape.channels, shape.height,
-                                        shape.width)).astype(np.float64)
-
     # -- discrete-event loop ---------------------------------------------------
     # busy: finish times of in-flight batches (len(busy) = busy workers)
     busy: List[Tuple[float, int]] = []
@@ -320,7 +313,9 @@ def run_soak(networks: Sequence[Network], requests: int = 100_000, *,
             rid = counts["submitted"]
             counts["submitted"] += 1
             spot = (spot_check_every > 0 and rid % spot_check_every == 0)
-            x = _input_for(rid, arrival.network) if spot else placeholder
+            x = (make_input(networks[arrival.network].input_shape,
+                            seed=seed + rid, integer=True)
+                 if spot else placeholder)
             request = ServeRequest(id=rid, key=plans[arrival.network].key,
                                    x=x, klass=arrival.klass)
             try:

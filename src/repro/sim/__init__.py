@@ -15,7 +15,6 @@ from .trace import TrafficTrace
 from .weights import (
     load_params,
     make_input,
-    make_level_weights,
     make_network_weights,
     save_params,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "load_params",
     "lrn",
     "make_input",
-    "make_level_weights",
     "make_network_weights",
     "maxpool2d",
     "pad2d",

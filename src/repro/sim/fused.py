@@ -35,7 +35,7 @@ from ..nn.stages import Level
 from . import ops
 from .reuse import BufferSpec, MapReuseState
 from .trace import TrafficTrace
-from .weights import make_level_weights
+from .weights import make_network_weights
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class FusedExecutor:
         if dtype is None:
             dtype = np.float64 if integer else np.float32
         self.levels = list(levels)
-        self.params = params if params is not None else make_level_weights(
+        self.params = params if params is not None else make_network_weights(
             self.levels, seed=seed, integer=integer)
         self.tip_h = tip_h
         self.tip_w = tip_w

@@ -6,12 +6,14 @@ executes complete :class:`~repro.nn.network.Network` objects, including
 the LRN and fully connected layers the paper's accelerators exclude, so
 zoo networks can be evaluated end to end (the role Torch played for the
 paper's tool). Each layer goes through :func:`repro.sim.ops.apply_spec`,
-and a batch runs either as one stacked call per layer or item by item —
-see :meth:`NetworkExecutor.run_batch`.
+and a batch runs either as one stacked call per layer or item by item,
+by the stacking rule DAG batches use — see
+:meth:`NetworkExecutor.batch_envs`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,29 +26,36 @@ from .trace import TrafficTrace
 from .weights import make_network_weights
 
 
+#: The batch input's tensor name in an environment, as in a graph's.
+INPUT = "input"
+
+
 class NetworkExecutor:
     """Executes a full network layer by layer (the Torch role).
 
     Weights are deterministic per seed unless supplied; shapes are
     validated against the network's inferred shapes at every step, so a
     drift between the IR's shape inference and the operators fails loudly.
+    A volume runs in its own dtype, a batch as :meth:`batch_envs` decides.
     """
 
     def __init__(self, network: Network,
                  params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
                  seed: int = 0, integer: bool = False):
         self.network = network
+        self.integer = integer
         self.params = params if params is not None else make_network_weights(
             network, seed=seed, integer=integer)
-        #: One stacked call per layer is bit-identical to per-item runs
-        #: only when all arithmetic is exact: integer mode on a network
-        #: whose layers cannot round (the exact half of
-        #: :func:`repro.sim.ops.spec_magnitude`). Float BLAS may block a
-        #: wider matmul differently and change final ULPs.
-        magnitude = ops.Magnitude(0.0)
-        for binding in network:
-            magnitude = ops.spec_magnitude(binding.spec, magnitude)
-        self.vectorized = integer and magnitude.exact
+        #: Environment names: the input, then each binding's output.
+        self._tensors = [INPUT] + [binding.name for binding in network]
+
+    @functools.cached_property
+    def _bound(self):
+        """:func:`repro.sim.ops.chain_bound` over the weights, memoized
+        per input peak (built by the first batch that could stack)."""
+        return functools.lru_cache(maxsize=64)(functools.partial(
+            ops.chain_bound, self.network.specs,
+            norms=ops.weight_norms(self.params)))
 
     def run(self, x: np.ndarray, trace: Optional[TrafficTrace] = None) -> np.ndarray:
         """Evaluate the whole network; returns the final output volume."""
@@ -88,14 +97,10 @@ class NetworkExecutor:
         return outputs
 
     def run_batch(self, xs, trace: Optional[TrafficTrace] = None) -> List[np.ndarray]:
-        """Evaluate a batch; outputs equal ``B`` independent :meth:`run` calls.
-
-        ``xs`` is a sequence of ``(C, H, W)`` volumes or a stacked
-        ``(B, C, H, W)`` array. When :attr:`vectorized` holds, the batch
-        runs as one stacked call per layer (a single ``network.run``
-        span); otherwise each item runs through :meth:`run` in order
-        (one ``network.run`` span per item).
-        """
+        """Evaluate a batch of ``(C, H, W)`` volumes (or a stacked ``(B,
+        C, H, W)`` array); outputs equal ``B`` independent :meth:`run`
+        calls. A stacked batch is one ``network.run`` span, an unstacked
+        one a span per item (see :meth:`batch_envs`)."""
         items: List[np.ndarray] = [np.asarray(x) for x in xs]
         expected = self.network.input_shape
         for item in items:
@@ -103,10 +108,43 @@ class NetworkExecutor:
                 raise ShapeError(
                     f"batch item {item.shape} != network input {expected}")
         with obs.span("network.run_batch", network=self.network.name,
-                      batch=len(items)):
-            if self.vectorized and items and len(self.network):
-                return list(self.run_all(np.stack(items), trace)[-1])
-            return [self.run(x, trace) for x in items]
+                      batch=len(items)) as span:
+            if not items:
+                return []
+            envs = self.batch_envs(np.stack(items))
+            span.set(dtype=envs[0][INPUT].dtype.name)
+            for env in envs:
+                env[self._tensors[-1]] = self.run(env[INPUT], trace)
+        return self.batch_outputs(envs)
+
+    def batch_envs(self, xs: np.ndarray) -> List[Dict[str, np.ndarray]]:
+        """The environments (tensor name -> array; ``"input"``, then each
+        binding's output) a stacked batch runs in: one in the dtype
+        :func:`repro.sim.ops.carrying_dtype` allows for an integer-mode
+        batch — the rule DAG batches use — else one per item (float64 in
+        integer mode, the item's own dtype in float mode)."""
+        carry = ops.carrying_dtype(xs, self._bound) if self.integer else None
+        if carry is not None:
+            return [{INPUT: xs.astype(carry)}]
+        return [{INPUT: np.asarray(x, np.float64) if self.integer else x}
+                for x in xs]
+
+    def run_atom(self, atom, env: Dict[str, np.ndarray]) -> None:
+        """Apply one :func:`repro.dist.stage.linear_atoms` atom's bindings
+        to the tensor of ``env`` its first binding reads."""
+        x = env[self._tensors[atom.bindings[0].index]]
+        for binding in atom.bindings:
+            x = ops.apply_spec(binding.spec, x, self.params)
+        env[binding.name] = x
+
+    def batch_outputs(self, envs: List[Dict[str, np.ndarray]]
+                      ) -> List[np.ndarray]:
+        """Each item's output from :meth:`batch_envs`' environments once
+        every layer ran; float64 in integer mode."""
+        outs = [env[self._tensors[-1]] for env in envs]
+        outs = list(outs[0]) if outs[0].ndim == 4 else outs
+        return [np.asarray(out, np.float64) if self.integer else out
+                for out in outs]
 
     def classify(self, x: np.ndarray) -> int:
         """Index of the maximum output — a toy top-1 'prediction'."""

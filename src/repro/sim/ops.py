@@ -15,7 +15,9 @@ Two functions are the only code that maps a layer to an operator call:
 A second table keyed on spec type, :func:`spec_magnitude`, bounds what
 each operator does to integer-mode values: how large its output and
 every partial sum it forms can get, and whether it can round at all.
-That bound decides which float type may carry a computation exactly.
+That bound decides which float type may carry a computation exactly:
+:func:`carrying_dtype` is the one stacking rule every batch path reads,
+for linear networks and DAGs alike.
 """
 
 from __future__ import annotations
@@ -267,6 +269,37 @@ def weight_norms(params: Params) -> Dict[str, Optional[Norm]]:
         norms[name] = ((l1, float(np.abs(b).max(initial=0.0)))
                        if integral else None)
     return norms
+
+
+def chain_bound(specs, peak: float,
+                norms: Dict[str, Optional[Norm]]) -> Tuple[float, bool]:
+    """The largest :attr:`Magnitude.bound` of any tensor of an
+    integer-mode run of the layer chain ``specs`` from inputs no larger
+    than ``peak``, and whether no layer can round
+    (:func:`repro.graph.executor.graph_bound` walks a DAG)."""
+    m = Magnitude(peak)
+    bound, exact = m.bound, True
+    for spec in specs:
+        m = spec_magnitude(spec, m, norms.get(spec.name))
+        bound, exact = max(bound, m.bound), exact and m.exact
+    return bound, exact
+
+
+def carrying_dtype(xs: np.ndarray,
+                   bound: Callable[[float], Tuple[float, bool]]):
+    """The one stacking rule: the float type that carries the stacked
+    integer-mode batch ``xs`` exactly, or None to run it item by item.
+
+    ``bound`` maps the batch's largest |input| to ``(bound, exact)``, as
+    :func:`chain_bound` does: the batch stacks in float32 below 2^24 and
+    in float64 below 2^53, unless an input is non-integral or an
+    operator rounds."""
+    if not np.array_equal(xs, np.rint(xs)):
+        return None
+    peak, exact = bound(float(np.abs(xs).max(initial=0.0)))
+    if not exact or peak >= 2.0 ** 53:
+        return None
+    return np.float32 if peak < 2.0 ** 24 else np.float64
 
 
 def run_level(level: Level, x: np.ndarray, params: Params,

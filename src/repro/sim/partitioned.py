@@ -18,7 +18,7 @@ from ..core.partition import group_tip, split_groups
 from ..nn.stages import Level
 from .fused import FusedExecutor
 from .trace import TrafficTrace
-from .weights import make_level_weights
+from .weights import make_network_weights
 
 
 class PartitionedExecutor:
@@ -37,7 +37,7 @@ class PartitionedExecutor:
         groups = split_groups(levels, sizes)
         self.levels = list(levels)
         self.sizes = tuple(sizes)
-        self.params = params if params is not None else make_level_weights(
+        self.params = params if params is not None else make_network_weights(
             self.levels, seed=seed, integer=integer)
         self.groups: List[FusedExecutor] = []
         for group in groups:

@@ -28,7 +28,7 @@ from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from . import ops
 from .trace import TrafficTrace
-from .weights import make_level_weights
+from .weights import make_network_weights
 
 
 class InputLineBuffer:
@@ -102,7 +102,7 @@ class RecomputeExecutor:
         self.levels = list(levels)
         if not self.levels:
             raise ShapeError("cannot execute zero levels")
-        self.params = params if params is not None else make_level_weights(
+        self.params = params if params is not None else make_network_weights(
             self.levels, seed=seed, integer=integer)
         self.tip_h = tip_h
         self.tip_w = tip_w

@@ -16,7 +16,7 @@ from .. import obs
 from ..nn.stages import Level
 from .ops import run_level
 from .trace import TrafficTrace
-from .weights import make_level_weights
+from .weights import make_network_weights
 
 
 class ReferenceExecutor:
@@ -32,7 +32,7 @@ class ReferenceExecutor:
                  params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
                  seed: int = 0, integer: bool = False):
         self.levels = list(levels)
-        self.params = params if params is not None else make_level_weights(
+        self.params = params if params is not None else make_network_weights(
             self.levels, seed=seed, integer=integer)
 
     def run(self, x: np.ndarray, trace: Optional[TrafficTrace] = None,

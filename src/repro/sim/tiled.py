@@ -23,7 +23,7 @@ from ..nn.shapes import ShapeError
 from ..nn.stages import Level
 from . import ops
 from .trace import TrafficTrace
-from .weights import make_level_weights
+from .weights import make_network_weights
 
 
 class TiledBaselineExecutor:
@@ -45,7 +45,7 @@ class TiledBaselineExecutor:
         if tm <= 0 or tr <= 0 or tc <= 0:
             raise ShapeError("tile parameters must be positive")
         self.levels = list(levels)
-        self.params = params if params is not None else make_level_weights(
+        self.params = params if params is not None else make_network_weights(
             self.levels, seed=seed, integer=integer)
         self.tm, self.tr, self.tc = tm, tr, tc
         self.dtype = dtype

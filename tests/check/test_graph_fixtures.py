@@ -117,8 +117,8 @@ def residual_chain(blocks: int) -> GraphNetwork:
 class TestExactnessBound:
     """RC707: integer-mode exactness that the bound cannot prove."""
 
-    @pytest.mark.parametrize("blocks, log2_bound", [(20, 22.8), (30, 32.8),
-                                                    (52, 54.8)])
+    @pytest.mark.parametrize("blocks, log2_bound", [(20, 25.1), (30, 35.1),
+                                                    (52, 57.1)])
     def test_chain_bound(self, blocks, log2_bound):
         bound, exact = contract_bound(residual_chain(blocks))
         assert exact and round(math.log2(bound), 1) == log2_bound
@@ -148,8 +148,10 @@ class TestExactnessBound:
         def forbidden(*args, **kwargs):
             raise AssertionError("the bound must not build weights")
 
-        monkeypatch.setattr(graph_executor, "make_graph_weights", forbidden)
+        monkeypatch.setattr(graph_executor, "make_network_weights", forbidden)
         net = residual_chain(52)
+        with pytest.raises(AssertionError, match="must not build weights"):
+            graph_executor.GraphExecutor(net)  # the generator it calls
         compile_graph_plan(net, decisions=default_decisions(lower_graph(net)))
         assert [d.code for d in check_graph_network(net)] == ["RC707"]
 

@@ -28,6 +28,7 @@ from repro.hw.device import DEFAULT_DEVICE
 from repro.obs import capture
 from repro.sim import TrafficTrace
 from repro.sim.ops import weight_norms
+from repro.sim.weights import INPUT_PEAK
 
 from ..graph.conftest import tiny_concat, tiny_diamond, tiny_residual
 from .test_atoms import _group_less, _layer_by_layer, _lrn_first
@@ -101,10 +102,26 @@ class TestBitIdentityMatrix:
             assert entry["start_s"] <= entry["end_s"] <= after["start_s"]
 
 
+class TestInputSensitivity:
+    """Under the integer contract the matrix above compares outputs that
+    depend on their inputs: distinct inputs give distinct outputs, and a
+    one-pixel shift of the input changes the output."""
+
+    def test_distinct_inputs_give_distinct_outputs(self, served):
+        _, xs, refs = served
+        assert len(set(refs)) == len(xs)
+
+    def test_shifted_input_changes_the_output(self, served):
+        plans, xs, refs = served
+        shifted = plans["graph"].executor.run_reference(
+            np.roll(xs[0], 1, axis=-1))
+        assert shifted.tobytes() != refs[0]
+
+
 class TestBound:
     @pytest.mark.parametrize("name, log2_bound", [
-        ("resnet18_37", 13.2), ("resnet50_37", 21.6),
-        ("mobilenetv2_33", 16.6), ("yolohead_48", 4.2)])
+        ("resnet18_37", 15.2), ("resnet50_37", 23.3),
+        ("mobilenetv2_33", 17.7), ("yolohead_48", 5.6)])
     def test_zoo_bounds_at_the_input_contract(self, name, log2_bound):
         bound, exact = contract_bound(NETWORKS[name]())
         assert exact and round(math.log2(bound), 1) == log2_bound
@@ -115,7 +132,7 @@ class TestBound:
         norms = weight_norms(executor.params)
         assert all(norm is not None and norm[0] == 1.0 and norm[1] <= 2.0
                    for norm in norms.values())
-        assert graph_bound(net, 3.0, norms)[0] <= contract_bound(net)[0]
+        assert graph_bound(net, INPUT_PEAK, norms)[0] <= contract_bound(net)[0]
 
     def test_non_integral_weights_have_no_bound(self):
         net = tiny_residual()
@@ -125,15 +142,15 @@ class TestBound:
         assert graph_bound(net, 3.0, weight_norms(params))[0] == math.inf
 
     def test_scaled_input_carries_float64_stacked(self):
-        """ResNet-50@37 scaled by 2^5 bounds at 2^24.7: past float32's
+        """ResNet-50@37 scaled by 2^2 bounds at 2^25.1: past float32's
         exact range, inside float64's, so the batch stacks in float64."""
         plan = compile_graph_plan(resnet50(37), seed=1)
         reference = GraphExecutor(plan.network, seed=1)
-        xs = [reference.make_input(seed=s) * 2 ** 5 for s in (1, 2)]
+        xs = [reference.make_input(seed=s) * 2 ** 2 for s in (1, 2)]
         bound, _ = contract_bound(plan.network)
-        scaled, _ = graph_bound(plan.network, 3.0 * 2 ** 5,
+        scaled, _ = graph_bound(plan.network, INPUT_PEAK * 2 ** 2,
                                 weight_norms(reference.params))
-        assert round(math.log2(scaled), 1) == 24.7 > math.log2(bound)
+        assert round(math.log2(scaled), 1) == 25.1 > math.log2(bound)
         outs, attrs, per_item = _capture_execute(plan, xs)
         assert (attrs["dtype"], per_item) == ("float64", 0)
         for out, x in zip(outs, xs):

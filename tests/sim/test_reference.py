@@ -5,13 +5,13 @@ import pytest
 
 from repro import extract_levels, toynet
 from repro.sim import ReferenceExecutor, TrafficTrace, make_input, run_level
-from repro.sim.weights import make_level_weights
+from repro.sim.weights import make_network_weights
 
 
 class TestRunLevel:
     def test_conv_shapes(self, mini_vgg_levels):
         level = mini_vgg_levels[0]
-        params = make_level_weights(mini_vgg_levels, integer=True)
+        params = make_network_weights(mini_vgg_levels, integer=True)
         x = make_input(level.in_shape, integer=True)
         out = run_level(level, x, params)
         assert out.shape == (level.out_shape.channels, level.out_shape.height,
@@ -20,7 +20,7 @@ class TestRunLevel:
     def test_relu_applied(self, mini_vgg_levels):
         level = mini_vgg_levels[0]
         assert level.has_relu
-        params = make_level_weights(mini_vgg_levels, integer=True)
+        params = make_network_weights(mini_vgg_levels, integer=True)
         x = make_input(level.in_shape, integer=True)
         assert run_level(level, x, params).min() >= 0
 

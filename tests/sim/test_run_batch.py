@@ -1,10 +1,12 @@
 """NetworkExecutor.run_batch: both paths, equivalence and instrumentation.
 
 A batch runs as one stacked call per layer when the executor is in
-integer mode on a network that keeps integer arithmetic exact, and item
-by item otherwise. Either way the outputs are bit-identical to per-item
-:meth:`NetworkExecutor.run` calls; the ``network.run`` spans show which
-path ran (one per batch, or one per item).
+integer mode and the magnitude bound proves the batch exact in its
+carrying type (:func:`repro.sim.ops.carrying_dtype`, the rule DAG
+batches use), and item by item otherwise. Either way the outputs are
+bit-identical to per-item :meth:`NetworkExecutor.run` calls; the
+``network.run`` spans show which path ran (one per batch, or one per
+item) and the ``network.run_batch`` span the carrying dtype.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ def _run_spans(executor, xs):
     return outs, names.count("network.run")
 
 
+def _carried(executor, xs):
+    """The dtype ``run_batch`` carried ``xs`` in."""
+    with capture() as registry:
+        executor.run_batch(xs)
+    (span,) = [s for s in registry.spans if s.name == "network.run_batch"]
+    return span.attrs["dtype"]
+
+
 def test_run_batch_matches_per_item_runs():
     network = toynet()
     executor = NetworkExecutor(network, seed=0, integer=True)
@@ -76,9 +86,10 @@ def test_bit_identical_to_per_item_runs(make_net):
     xs = _inputs(network, 5, seed=0)
     outs, runs = _run_spans(executor, xs)
     assert runs == 1  # one stacked call
+    assert _carried(executor, xs) == "float32"
     for x, out in zip(xs, outs):
         ref = executor.run(x)
-        assert out.dtype == ref.dtype
+        assert out.dtype == ref.dtype == np.float64
         assert np.array_equal(out, ref)
 
 
@@ -108,7 +119,8 @@ def test_exactness_gate():
         PoolSpec("p1", kernel=3, stride=3, mode="avg"),
     ])
     assert not _exact(inexact_avg)
-    assert not NetworkExecutor(inexact_avg, integer=True).vectorized
+    executor = NetworkExecutor(inexact_avg, integer=True)
+    assert _run_spans(executor, _inputs(inexact_avg, 2))[1] == 2
 
 
 def test_run_batch_emits_one_run_span_per_item():

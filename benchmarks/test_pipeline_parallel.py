@@ -35,7 +35,7 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import resnet18
 from repro.nn.zoo import toynet, vggnet_e
 from repro.serve import InferenceService, compile_plan
-from repro.sim import NetworkExecutor
+from repro.sim import NetworkExecutor, make_input
 from repro.tune import tune
 
 RESULTS_PATH = (pathlib.Path(__file__).parent / "results"
@@ -116,10 +116,8 @@ def test_resnet_4dev_at_least_2x(scaling):
 
 def test_sharded_serving_bit_identical_and_results_written(scaling):
     net = toynet()
-    shape = net.input_shape
-    rng = np.random.default_rng(42)
-    xs = [np.round(rng.uniform(-4.0, 4.0, size=(
-        shape.channels, shape.height, shape.width))) for _ in range(16)]
+    xs = [make_input(net.input_shape, seed=42 + i, integer=True)
+          for i in range(16)]
     reference = NetworkExecutor(net, seed=0, integer=True)
     golden = [reference.run(x) for x in xs]
     fleet = split_device(DEFAULT_DEVICE, 2)

@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.nn.zoo import nin_cifar
 from repro.serve import InferenceService, PlanCache, get_sanitizer
+from repro.sim import make_input
 
 from conftest import BENCH_REGISTRY
 
@@ -43,11 +43,8 @@ MAX_OVERHEAD_FRAC = 0.05
 @pytest.fixture(scope="module")
 def workload():
     network = nin_cifar()
-    shape = network.input_shape
-    rng = np.random.default_rng(0)
-    xs = [np.round(rng.uniform(-4.0, 4.0, size=(
-        shape.channels, shape.height, shape.width)))
-        for _ in range(REQUESTS)]
+    xs = [make_input(network.input_shape, seed=i, integer=True)
+          for i in range(REQUESTS)]
     cache = PlanCache()
     cache.get_or_compile(network)  # compile once, outside the timed runs
     return network, xs, cache

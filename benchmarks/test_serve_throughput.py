@@ -20,7 +20,7 @@ import pytest
 
 from repro.nn.zoo import toynet
 from repro.serve import InferenceService, PlanCache
-from repro.sim import NetworkExecutor
+from repro.sim import NetworkExecutor, make_input
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_serve.json"
 
@@ -30,11 +30,8 @@ REQUESTS = 256
 @pytest.fixture(scope="module")
 def workload():
     network = toynet()
-    shape = network.input_shape
-    rng = np.random.default_rng(0)
-    xs = [np.round(rng.uniform(-4.0, 4.0, size=(
-        shape.channels, shape.height, shape.width)))
-        for _ in range(REQUESTS)]
+    xs = [make_input(network.input_shape, seed=i, integer=True)
+          for i in range(REQUESTS)]
     cache = PlanCache()
     cache.get_or_compile(network)  # compile once, outside the timed runs
     return network, xs, cache

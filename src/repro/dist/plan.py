@@ -12,15 +12,17 @@ Two things are deliberately decoupled:
 
 * **numerics** run stage-by-stage through the *same* operator sequence
   the base plan's executor applies: at construction the plan slices its
-  base plan's execution atoms (:func:`~repro.dist.stage.linear_atoms` or
-  :func:`~repro.graph.executor.graph_atoms`, the lists the estimate was
-  priced from) by the stage split, without building the base executor.
-  A batch crosses every stage in turn, carried as the base executor's
-  ``batch_envs`` carries it (the one stacking rule,
-  :func:`repro.sim.ops.carrying_dtype`), and each stage runs its atoms
-  through the base executor's ``run_atom`` — the routine its own runs
-  use — so outputs are **bit-identical** to direct execution, including
-  under fault plans (faults live inside the unchanged fused executors);
+  base plan's atom list (``base.atoms``, one
+  :class:`~repro.graph.executor.GraphAtom` per fused group for linear
+  and graph plans alike — the list the estimate was priced from) by the
+  stage split, without building the base executor. A batch crosses
+  every stage in turn, carried as the base
+  :class:`~repro.graph.executor.GraphExecutor`'s ``batch_envs`` carries
+  it (the one stacking rule, :func:`repro.sim.ops.carrying_dtype`), and
+  each stage runs its atoms through the executor's ``run_atom`` — the
+  routine its own runs use — so outputs are **bit-identical** to direct
+  execution, including under fault plans (faults live inside the
+  unchanged fused executors);
 * **timing** is priced in virtual cycles by the frozen stage costs
   (:meth:`PipelineEstimate.simulate` runs a micro-batch through them);
   every ``execute`` call records each stage's wall-clock interval
@@ -49,7 +51,7 @@ from ..errors import ConfigError
 from ..hw.device import DeviceSpec
 from ..hw.link import DEFAULT_LINK, LinkSpec
 from ..graph.ir import INPUT
-from .stage import PipelineEstimate, balance_stages, linear_atoms, plan_atoms
+from .stage import PipelineEstimate, balance_stages, plan_atoms
 
 
 #: Micro-batch run length weights amortize over by default: a stage
@@ -117,13 +119,7 @@ class PipelinePlan:
         self.seed = base.seed
         self.degraded = base.degraded
         self._tls = threading.local()
-        if base.key.family == "graph":
-            from ..graph.executor import graph_atoms
-
-            atoms = graph_atoms(base.program, base.decisions)
-        else:
-            atoms = linear_atoms(base.network, base.partition_sizes)
-        self._stage_atoms = split_groups(atoms, estimate.boundaries)
+        self._stage_atoms = split_groups(base.atoms, estimate.boundaries)
 
     # -- CompiledPlan surface ---------------------------------------------------
 
@@ -170,8 +166,8 @@ class PipelinePlan:
         The whole batch crosses each stage before the next one starts,
         carried as the base executor's ``batch_envs`` decides — one
         stacked array where :func:`repro.sim.ops.carrying_dtype` allows,
-        item by item otherwise, for linear and graph plans alike — and
-        each stage runs its atoms through the executor's ``run_atom``.
+        item by item otherwise — and each stage runs its atoms through
+        the executor's ``run_atom``.
         The pipeline overlap is priced, not run; each stage's wall-clock
         interval lands in ``last_stage_report``.
         """

@@ -1,17 +1,20 @@
 """Stage partitioning and the stage/link cost model.
 
 Everything here operates on **group atoms**: a uniform, ordered view of
-the work a compiled plan performs, one atom per fused group. Each plan
-family has one function that lists its execution atoms —
-:func:`linear_atoms` ``(network, partition_sizes)`` assigns every layer
-binding to a partition group (the classifier tail rides on the last
-one), :func:`repro.graph.executor.graph_atoms` ``(program, decisions)``
-hangs joins and opaque steps on the group before them (steps before the
-first group lead it) — and :func:`plan_atoms` prices that same list one
-to one, which pipeline stages then slice and execute. Priced atoms carry
-their arithmetic, weight traffic, and named read/write tensor sets — so
-pricing a stage split never re-derives geometry, it just re-buckets
-footprints the partition analysis already computed.
+the work a compiled plan performs, one atom per fused group. Every
+unsharded plan, linear or graph, lists its execution atoms the same way
+— ``plan.atoms``, :func:`repro.graph.executor.graph_atoms` of its
+lowered program, which hangs joins and opaque steps on the group before
+them (steps before the first group lead it; a linear plan's classifier
+rides on its last group) — and :func:`plan_atoms` prices that same list
+one to one, which pipeline stages then slice and execute. Two pricing
+rules read it: a graph plan's riders are charged their arithmetic,
+weights and DRAM round trips; a linear plan chains its groups and folds
+the classifier's arithmetic and weights into the last one, which writes
+the network's output. Priced atoms carry their arithmetic, weight
+traffic, and named read/write tensor sets — so pricing a stage split
+never re-derives geometry, it just re-buckets footprints the partition
+analysis already computed.
 
 The pricing model per stage ``s`` (device ``d_s``):
 
@@ -37,15 +40,12 @@ from dataclasses import dataclass, replace
 from math import ceil, comb
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.partition import split_groups
 from ..errors import ConfigError
 from ..hw.device import DeviceSpec, WORDS_PER_BRAM18
 from ..hw.link import LinkSpec
 from ..hw.pipeline import PipelineSchedule, StageTiming, simulate_pipeline
-from ..nn.layers import ConvSpec, PadSpec, PoolSpec
-from ..nn.network import LayerBinding
 from ..nn.shapes import BYTES_PER_WORD
-from ..nn.stages import Level, extract_levels
+from ..nn.stages import Level
 from ..sim.weights import param_bytes
 
 #: DSP floor per convolution level of a fused engine (the feasibility
@@ -197,46 +197,7 @@ class PipelineEstimate:
         }
 
 
-# -- atom extraction -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearAtom:
-    """One partition group of a linear plan: its windowed ``levels`` and
-    every layer binding it executes, in network order. ``tail`` holds
-    the bindings past the fusion scope (the classifier), on the last
-    group only."""
-
-    levels: Tuple[Level, ...]
-    bindings: Tuple[LayerBinding, ...]
-    tail: Tuple[LayerBinding, ...] = ()
-
-
-def linear_atoms(network, partition_sizes: Sequence[int]) -> List[LinearAtom]:
-    """A linear plan as one atom per partition group, in layer order.
-
-    Windowed layers go to their partition group, a pad to the level it
-    folds into, ReLU/LRN to their producer's group, and everything past
-    the last windowed level to the last group, so the atoms' bindings
-    concatenate to the network exactly.
-    """
-    extractor = network.feature_extractor()
-    level_groups = split_groups(extract_levels(extractor), partition_sizes)
-    owner = [g for g, levels in enumerate(level_groups) for _ in levels]
-    bindings: List[List[LayerBinding]] = [[] for _ in level_groups]
-    g = windowed = 0  # the current binding's group; levels seen so far
-    for binding in network:
-        if (windowed < len(owner)
-                and isinstance(binding.spec, (ConvSpec, PoolSpec, PadSpec))):
-            g = owner[windowed]  # a pad folds into the next level
-            if not isinstance(binding.spec, PadSpec):
-                windowed += 1
-        bindings[g].append(binding)
-    tail = tuple(list(network)[len(extractor):])
-    last = len(level_groups) - 1
-    return [LinearAtom(levels=tuple(levels), bindings=tuple(group),
-                       tail=tail if i == last else ())
-            for i, (levels, group) in enumerate(zip(level_groups, bindings))]
+# -- atom pricing --------------------------------------------------------------
 
 
 def level_atoms(levels_per_group: Sequence[Sequence[Level]],
@@ -282,14 +243,15 @@ def _group_bram_words(levels) -> int:
     return words
 
 
-def _price_linear(network, atoms: Sequence[LinearAtom]) -> List[GroupAtom]:
-    """Chain the groups; the classifier tail folds its arithmetic and
-    weights into the last atom, which writes the network's ``output``."""
+def _price_linear(network, atoms) -> List[GroupAtom]:
+    """Chain a linear plan's groups; the classifier tail (the riders of
+    the last atom) folds its arithmetic and weights into the last group,
+    which writes the network's ``output``."""
     priced = level_atoms([atom.levels for atom in atoms],
                          network.input_shape.bytes)
-    last, tail = priced[-1], atoms[-1].tail
+    last, tail = priced[-1], [rider.node for rider in atoms[-1].riders]
     priced[-1] = replace(
-        last, ops=last.ops + sum(b.total_ops for b in tail),
+        last, ops=last.ops + sum(node.total_ops for node in tail),
         weight_bytes=last.weight_bytes + param_bytes(tail, BYTES_PER_WORD),
         writes=(("output", tail[-1].output_shape.bytes if tail
                  else last.writes[0][1]),))
@@ -335,9 +297,9 @@ def _price_graph(atom) -> GroupAtom:
 
 
 def plan_atoms(plan) -> List[GroupAtom]:
-    """The priced atoms of a compiled plan, one per execution atom —
-    :func:`~repro.graph.executor.graph_atoms` of a graph plan,
-    :func:`linear_atoms` of a linear one — in execution order.
+    """The priced atoms of a compiled plan, one per execution atom of
+    ``plan.atoms``, in execution order: by the graph rule for a graph
+    plan, by the linear rule for a linear one.
 
     The atom count equals ``plan.num_groups`` (every fused group appears
     exactly once), which is the invariant the stage partitioner and the
@@ -345,13 +307,9 @@ def plan_atoms(plan) -> List[GroupAtom]:
     """
     family = plan.key.family
     if family == "graph":
-        from ..graph.executor import graph_atoms
-
-        atoms = [_price_graph(atom)
-                 for atom in graph_atoms(plan.program, plan.decisions)]
+        atoms = [_price_graph(atom) for atom in plan.atoms]
     elif family == "linear":
-        atoms = _price_linear(plan.network, linear_atoms(
-            plan.network, plan.partition_sizes))
+        atoms = _price_linear(plan.network, plan.atoms)
     else:
         raise ConfigError(f"cannot shard a {family!r} plan",
                           family=family)

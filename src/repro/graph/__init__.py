@@ -7,7 +7,9 @@ elementwise joins, depthwise convolution — while reusing the paper's
 fusion machinery unchanged underneath:
 
 * :mod:`~repro.graph.ir` — :class:`GraphNetwork`: named nodes, shape and
-  channel inference, topological iteration, content fingerprinting.
+  channel inference, topological iteration, content fingerprinting;
+  :func:`chain_graph` builds a linear network's chain, which linear
+  plans lower and execute.
 * :mod:`~repro.graph.lower` — decompose the DAG into maximal linear
   *fusion segments*; skip connections either bound fusion groups or fuse
   through a join.
@@ -39,6 +41,7 @@ from .ir import (
     GraphError,
     GraphNetwork,
     GraphNode,
+    chain_graph,
     depthwise,
 )
 from .lower import (
@@ -72,6 +75,7 @@ __all__ = [
     "SegmentChoice",
     "SegmentDecision",
     "SegmentStep",
+    "chain_graph",
     "compile_graph_plan",
     "default_decisions",
     "depthwise",

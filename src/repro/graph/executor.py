@@ -9,7 +9,9 @@ group runs through the unmodified :class:`~repro.sim.fused.FusedExecutor`
 (pyramid schedule, reuse buffers, fault repair), a fused join replaces
 the body's DRAM output write with the join-output write, and the
 boundary joins and opaque steps riding on the atom evaluate as NumPy
-ops. Pipeline stages (:mod:`repro.dist.plan`) run slices of the same
+ops. Every compiled plan runs this way — a linear plan on its network's
+chain graph (:func:`repro.graph.ir.chain_graph`), which lowers to one
+segment. Pipeline stages (:mod:`repro.dist.plan`) run slices of the same
 list through the same :meth:`GraphExecutor.run_atom`, and
 :func:`repro.dist.stage.plan_atoms` prices it. In integer mode (the
 single-tap contract of :mod:`repro.sim.weights`) the fused and
@@ -20,9 +22,13 @@ repaired inside the fused executor, never changing results.
 A batch runs stacked when arithmetic cannot round: :func:`graph_bound`
 bounds every activation and partial sum from the weights and the
 batch's largest |input|, and :func:`repro.sim.ops.carrying_dtype` (the
-rule linear networks share) carries the batch as one ``(B, C, H, W)``
+one stacking rule) carries the batch as one ``(B, C, H, W)``
 array in float32 below 2^24, in float64 below 2^53, and item by item in
-float64 otherwise. Integer-mode outputs are float64 either way.
+float64 otherwise. Integer-mode outputs are float64 either way. In
+float mode each item runs alone in its own precision against the
+float32 weights (NumPy's promotion: a float64 request computes and
+returns float64, a float32 one float32), as
+:meth:`repro.sim.network_exec.NetworkExecutor.run` computes it.
 
 Observability: every atom runs inside a ``graph.atom[<segment>.g<i>]``
 span (under ``graph.run`` on the direct path, under ``dist.execute`` in
@@ -259,8 +265,9 @@ class GraphExecutor:
         repaired, keeping outputs bit-identical. An executor with faults
         runs every batch item by item, so it draws them per item.
 
-    Inputs and outputs are :attr:`dtype`: float64 in integer mode,
-    float32 otherwise; a batch is carried as :meth:`batch_envs` decides.
+    Inputs and outputs are float64 in integer mode; in float mode each
+    item keeps its own precision (:meth:`item_dtype`). A batch is carried
+    as :meth:`batch_envs` decides.
     """
 
     def __init__(self, network: GraphNetwork,
@@ -281,7 +288,6 @@ class GraphExecutor:
             else default_decisions(self.program))
         self.atoms = graph_atoms(self.program, self.decisions)
         self._faults = faults
-        carried = (np.float32, np.float64) if integer else (np.float32,)
         #: One fused executor per atom for each dtype a run may carry.
         self._executors = {
             np.dtype(dtype): [
@@ -295,7 +301,7 @@ class GraphExecutor:
                     dtype=dtype, faults=faults, retry=retry)
                 if atom.levels else None
                 for atom in self.atoms]
-            for dtype in carried}
+            for dtype in (np.float32, np.float64)}
 
     @functools.cached_property
     def _bound(self):
@@ -305,6 +311,15 @@ class GraphExecutor:
         runs :meth:`run_reference` never reads its weights."""
         return functools.lru_cache(maxsize=64)(functools.partial(
             graph_bound, self.network, norms=ops.weight_norms(self.params)))
+
+    def item_dtype(self, xs: np.ndarray) -> np.dtype:
+        """The dtype an item of ``xs`` runs in on its own: float64 in
+        integer mode; in float mode its precision against the float32
+        weights, ``np.result_type(xs.dtype, float32)``, so a float64
+        request computes in float64 as :meth:`NetworkExecutor.run
+        <repro.sim.network_exec.NetworkExecutor.run>` does."""
+        return (self.dtype if self.integer
+                else np.result_type(xs.dtype, self.dtype))
 
     @property
     def buffer_bytes(self) -> int:
@@ -323,11 +338,13 @@ class GraphExecutor:
     def run_reference(self, x: np.ndarray,
                       trace: Optional[TrafficTrace] = None) -> np.ndarray:
         """Node-by-node NumPy evaluation of one volume straight off the
-        IR, carried in :attr:`dtype`."""
+        IR, carried in :meth:`item_dtype`."""
+        x = np.asarray(x)
         expected = self.network.input_shape
         if x.shape != (expected.channels, expected.height, expected.width):
             raise ShapeError(f"input {x.shape} != network input {expected}")
-        env: Dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=self.dtype)}
+        env: Dict[str, np.ndarray] = {
+            INPUT: np.asarray(x, dtype=self.item_dtype(x))}
         with obs.span("graph.reference", network=self.network.name,
                       nodes=len(self.network)):
             for node in self.network:
@@ -368,7 +385,7 @@ class GraphExecutor:
         if len(xs) == 0:
             out = self.network.node(self.program.output_tensor).output_shape
             return np.zeros((0, out.channels, out.height, out.width),
-                            self.dtype)
+                            self.item_dtype(xs))
         with obs.span("graph.run", network=self.network.name,
                       atoms=len(self.atoms), batch=len(xs)) as span:
             envs = self.batch_envs(xs)
@@ -389,9 +406,9 @@ class GraphExecutor:
         float32 below 2^24 and float64 below 2^53. Otherwise — an
         operator that rounds, a non-integral input, a larger bound, a
         fault injector, or float mode — each item gets its own
-        environment holding one volume in :attr:`dtype`, the computation
-        a single-item run makes; integer-mode batches that take this path
-        count in ``graph.per_item_batches``.
+        environment holding one volume in :meth:`item_dtype`, the
+        computation a single-item run makes; integer-mode batches that
+        take this path count in ``graph.per_item_batches``.
         """
         expected = self.network.input_shape
         if xs.ndim != 4 or xs.shape[1:] != (expected.channels,
@@ -403,15 +420,17 @@ class GraphExecutor:
             return [{INPUT: xs.astype(carry)}]
         if self.integer:
             obs.add_counter("graph.per_item_batches")
-        return [{INPUT: np.asarray(x, dtype=self.dtype)} for x in xs]
+        dtype = self.item_dtype(xs)
+        return [{INPUT: np.asarray(x, dtype=dtype)} for x in xs]
 
     def batch_outputs(self, envs: Sequence[Dict[str, np.ndarray]]
                       ) -> np.ndarray:
         """The ``(B, ...)`` program output of :meth:`batch_envs`'
-        environments once every atom ran, in :attr:`dtype`."""
+        environments once every atom ran: float64 in integer mode, the
+        carried dtype in float mode."""
         outs = [env[self.program.output_tensor] for env in envs]
         out = outs[0] if outs[0].ndim == 4 else np.stack(outs)
-        return out.astype(self.dtype, copy=False)
+        return out.astype(self.dtype, copy=False) if self.integer else out
 
     def run_atom(self, atom: GraphAtom, env: Dict[str, np.ndarray],
                  trace: Optional[TrafficTrace] = None) -> None:

@@ -23,6 +23,10 @@ Joins:
 
 Depthwise convolution is an existing :class:`~repro.nn.layers.ConvSpec`
 with ``groups == channels``; :func:`depthwise` builds one.
+
+A linear :class:`~repro.nn.network.Network` is the simplest DAG:
+:func:`chain_graph` builds its chain, one node per layer, and linear
+plans lower and execute that chain like any other graph.
 """
 
 from __future__ import annotations
@@ -353,3 +357,13 @@ class GraphNetwork:
     def __repr__(self) -> str:
         return (f"GraphNetwork({self.name!r}, {len(self)} nodes, "
                 f"in={self.input_shape})")
+
+
+def chain_graph(network) -> GraphNetwork:
+    """A linear :class:`~repro.nn.network.Network` as a chain graph: one
+    node per layer, with the layer's name and spec, each reading the one
+    before it."""
+    graph = GraphNetwork(network.name, network.input_shape)
+    for binding in network:
+        graph.add(binding.spec)
+    return graph

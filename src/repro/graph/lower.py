@@ -7,7 +7,14 @@ windowed levels. A DAG lowers onto it as follows:
   :class:`~repro.nn.layers.PadSpec` folds into its (single) consuming
   convolution, and a :class:`~repro.nn.layers.ReLUSpec` folds onto its
   producer — a windowed level *or a join* (the post-add ReLU of a
-  residual block evaluates inside the join).
+  residual block evaluates inside the join). An
+  :class:`~repro.nn.layers.LRNSpec` folds onto the level producing it
+  (:attr:`~repro.nn.stages.Level.lrn`): it mixes channels at one pixel,
+  so like a ReLU it is pointwise in space. A level applies its ReLU
+  before its LRN, so nothing folds onto a level after its LRN: a ReLU
+  there stays an opaque step. With the fold, the windowed layers of
+  every linear zoo chain (:func:`~repro.graph.ir.chain_graph`) form one
+  segment, and the classifier rides after it.
 
 * **Segments** are maximal chains of windowed levels connected by
   fan-out-1 edges. Any tensor consumed more than once (the residual
@@ -25,16 +32,16 @@ windowed levels. A DAG lowers onto it as follows:
   footprint); see :mod:`repro.graph.explore` for the cost model.
 
 Every graph node lands in exactly one step (the segment-coverage
-identity checked by RC704): levels and their folded pads/ReLUs in a
-:class:`SegmentStep`, joins in their :class:`SegmentStep` or a boundary
-:class:`JoinStep`, and FC/LRN/unfoldable-ReLU nodes in an
+identity checked by RC704): levels and their folded pads, ReLUs and
+LRNs in a :class:`SegmentStep`, joins in their :class:`SegmentStep` or a boundary
+:class:`JoinStep`, and FC nodes and unfoldable ReLU/LRN nodes in an
 :class:`OpaqueStep`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..nn.layers import ConvSpec, FCSpec, LRNSpec, PadSpec, PoolSpec, ReLUSpec
@@ -117,7 +124,8 @@ class JoinStep:
 
 @dataclass(frozen=True)
 class OpaqueStep:
-    """A non-fusable node (FC, LRN, unfoldable ReLU) executed on its own."""
+    """A non-fusable node (FC, or an LRN or ReLU that cannot fold)
+    executed on its own."""
 
     name: str
     node: GraphNode
@@ -232,25 +240,24 @@ def _fold(network: GraphNetwork) -> List[_Op]:
                 folded_pads[node.name] = (spec.pad, src)
                 pad_owner[node.name] = [node.name]
             continue
-        if isinstance(spec, ReLUSpec):
+        if isinstance(spec, (ReLUSpec, LRNSpec)):
             src = node.inputs[0]
             src_op = producer.get(src)
             if (src_op is not None and network.fan_out(src) == 1
-                    and src_op.kind in ("level", "join")):
+                    and _folds(spec, src_op)):
                 # fold onto the producer: its output tensor becomes ours
                 del producer[src_op.output_tensor]
-                src_op.has_relu = True
                 src_op.output_tensor = node.name
                 src_op.node_names.append(node.name)
-                if src_op.kind == "level":
-                    src_op.level = _level_with_relu(src_op.level)
+                if isinstance(spec, LRNSpec):
+                    src_op.level = replace(src_op.level, lrn=spec)
+                else:
+                    src_op.has_relu = True
+                    if src_op.kind == "level":
+                        src_op.level = replace(src_op.level, has_relu=True)
                 producer[node.name] = src_op
                 continue
-            emit(_Op(kind="opaque", node_names=[node.name],
-                     input_tensors=node.inputs, output_tensor=node.name,
-                     node=node))
-            continue
-        if isinstance(spec, (FCSpec, LRNSpec)):
+        if isinstance(spec, (ReLUSpec, LRNSpec, FCSpec)):
             emit(_Op(kind="opaque", node_names=[node.name],
                      input_tensors=node.inputs, output_tensor=node.name,
                      node=node))
@@ -306,12 +313,13 @@ def _node_to_level(network: GraphNetwork, node: GraphNode, extra_pad: int,
                  pool_mode=spec.mode)
 
 
-def _level_with_relu(level: Level) -> Level:
-    return Level(name=level.name, kind=level.kind, kernel=level.kernel,
-                 stride=level.stride, pad=level.pad, in_shape=level.in_shape,
-                 out_shape=level.out_shape, weight_count=level.weight_count,
-                 ops_per_output=level.ops_per_output, has_relu=True,
-                 pool_mode=level.pool_mode, groups=level.groups)
+def _folds(spec, op: _Op) -> bool:
+    """Whether the pointwise ReLU or LRN ``spec`` folds onto its sole
+    producer ``op``: a ReLU onto a level or a join, an LRN onto a level,
+    and nothing onto a level whose LRN is already folded."""
+    if op.kind == "level":
+        return op.level.lrn is None
+    return op.kind == "join" and isinstance(spec, ReLUSpec)
 
 
 def _assemble(ops: List[_Op], fan: Counter) -> Tuple[List[Step], Dict[str, str]]:

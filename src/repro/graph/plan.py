@@ -6,6 +6,9 @@ configuration — one :class:`~repro.graph.explore.SegmentDecision` per
 fusion segment (group sizes + join policy) — plus the weight seed, so
 the :func:`~repro.graph.explore.explore_graph` sweep runs once and every
 request just executes (deterministic weights are built on the first).
+Both families execute through the same
+:class:`~repro.serve.plan.FusedPlan` code: a linear plan is the special
+case of a chain graph with one segment.
 Its :class:`~repro.serve.plan.PlanKey` carries ``family="graph"``, so a
 DAG plan can never alias a linear plan even if their fingerprints
 collided; restoring from a saved dict performs **zero exploration
@@ -22,30 +25,26 @@ caches mix both families transparently.
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.fusion import Strategy
 from ..errors import ConfigError
-from ..serve.plan import PlanKey, make_plan_key
-from ..sim.weights import param_bytes
-from .executor import GraphExecutor, check_decisions
+from ..serve.plan import FusedPlan, PlanKey, make_plan_key
 from .explore import SegmentDecision, explore_graph
 from .ir import GraphNetwork
 from .lower import lower_graph
 
 
-class CompiledGraphPlan:
+class CompiledGraphPlan(FusedPlan):
     """A frozen, executable configuration for one DAG network.
 
-    Mirrors the :class:`~repro.serve.plan.CompiledPlan` surface the
-    serving stack relies on (``key``, ``execute``, ``byte_size``,
-    ``num_groups``, ``describe``, ``to_dict``/``from_dict``) so caches,
-    admission control, and workers treat both families uniformly.
+    Shares execution, ``byte_size`` and the atom list with
+    :class:`~repro.serve.plan.CompiledPlan` (both subclass
+    :class:`~repro.serve.plan.FusedPlan`), so caches, admission control
+    and workers treat both families uniformly; its configuration is
+    ``decisions``, one per segment of the lowered program.
     """
 
     def __init__(self, key: PlanKey, network: GraphNetwork,
@@ -55,57 +54,21 @@ class CompiledGraphPlan:
         if key.family != "graph":
             raise ConfigError("CompiledGraphPlan requires a 'graph' plan key",
                               key=str(key))
-        self.key = key
-        self.network = network
-        self.program = lower_graph(network)
-        self.decisions = check_decisions(self.program, decisions)
-        self.seed = seed
-        self.degraded = degraded
-        self.compile_s = compile_s
-
-    @functools.cached_property
-    def executor(self) -> GraphExecutor:
-        """Built on first use, so compiling or loading allocates no
-        weights. ``tip=None`` runs one pyramid per fused group: fastest,
-        and bit-identical for any tip in integer mode."""
-        return GraphExecutor(
-            self.network, decisions=self.decisions, seed=self.seed,
-            integer=self.key.precision == "int", tip=None,
-            program=self.program)
+        super().__init__(key, network, lower_graph(network), decisions,
+                         seed=seed, degraded=degraded, compile_s=compile_s)
 
     @property
-    def partition_sizes(self) -> Tuple[int, ...]:
-        """All group sizes, flattened across segments (for uniform
-        reporting alongside linear plans)."""
-        return tuple(size for d in self.decisions for size in d.sizes)
+    def decisions(self) -> Tuple[SegmentDecision, ...]:
+        return self._decisions
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.partition_sizes)
+    # Keep: perfbench's ``Patcher.method`` wraps ``execute`` by reading
+    # ``CompiledGraphPlan.__dict__["execute"]`` (a KeyError if it is only
+    # inherited), and setting it here keeps that wrapper off linear plans.
+    execute = FusedPlan.execute
 
     @property
     def fused_join_count(self) -> int:
         return sum(1 for d in self.decisions if d.join_fused)
-
-    @property
-    def byte_size(self) -> int:
-        """Resident bytes the cache charges this plan for (weights + one
-        input volume), from parameter shapes: the executor stays unbuilt."""
-        # make_network_weights stores float32 in either precision
-        weights = param_bytes(self.network, 4)
-        shape = self.network.input_shape
-        return weights + shape.elements * 8
-
-    def execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Run a batch through the fused path as one stacked
-        :meth:`GraphExecutor.run_fused` call (carried as
-        :meth:`GraphExecutor.batch_envs` decides); outputs are
-        bit-identical to per-item :meth:`GraphExecutor.run_reference`
-        calls in integer precision. An empty batch builds nothing."""
-        if len(xs) == 0:
-            return []
-        return list(self.executor.run_fused(
-            np.stack([np.asarray(x) for x in xs])))
 
     def describe(self) -> str:
         mode = "degraded " if self.degraded else ""

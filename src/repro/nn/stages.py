@@ -18,8 +18,8 @@ The paper reasons at two granularities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 from .layers import ConvSpec, FCSpec, LRNSpec, PadSpec, PoolSpec, ReLUSpec
 from .network import Network
@@ -32,6 +32,10 @@ class Level:
 
     ``in_shape`` is the *unpadded* producer output feeding this level;
     ``pad`` zeros are added on each border before the window slides.
+    ``lrn`` is an LRN folded onto the level by the graph lowering
+    (:mod:`repro.graph.lower`), applied after the ReLU; like the ReLU it
+    is pointwise in space, so it adds no geometry, and no cost model
+    reads it (the paper omits LRN, Section VI-B).
     """
 
     name: str
@@ -46,6 +50,7 @@ class Level:
     has_relu: bool = False
     pool_mode: str = "max"
     groups: int = 1
+    lrn: Optional[LRNSpec] = None
 
     @property
     def is_conv(self) -> bool:
@@ -138,7 +143,7 @@ def extract_levels(network: Network) -> List[Level]:
         if isinstance(spec, ReLUSpec):
             if not levels:
                 raise ShapeError(f"{spec.name}: ReLU before any windowed layer")
-            levels[-1] = _with_relu(levels[-1])
+            levels[-1] = replace(levels[-1], has_relu=True)
             continue
         if isinstance(spec, LRNSpec):
             continue
@@ -191,23 +196,6 @@ def extract_levels(network: Network) -> List[Level]:
     if pending_pad:
         raise ShapeError("trailing padding layer with no consumer")
     return levels
-
-
-def _with_relu(level: Level) -> Level:
-    return Level(
-        name=level.name,
-        kind=level.kind,
-        kernel=level.kernel,
-        stride=level.stride,
-        pad=level.pad,
-        in_shape=level.in_shape,
-        out_shape=level.out_shape,
-        weight_count=level.weight_count,
-        ops_per_output=level.ops_per_output,
-        has_relu=True,
-        pool_mode=level.pool_mode,
-        groups=level.groups,
-    )
 
 
 def independent_units(levels: Sequence[Level]) -> List[FusionUnit]:

@@ -3,11 +3,24 @@
 The paper splits its tool into an offline analytical search and an
 online fused evaluation (Section V-A); a serving system makes the same
 split explicit. A :class:`CompiledPlan` freezes everything needed to
-execute one network — the chosen fusion partition (from
-:func:`repro.core.explore` or an explicit spec), the per-group pyramid
-geometry, and the weight seed — so the expensive search runs once per
-(network, configuration) and every subsequent request just executes.
-Deterministic weights are built on a plan's first execution.
+execute one linear network — the chosen fusion partition (from
+:func:`repro.core.explore` or an explicit spec) and the weight seed — so
+the expensive search runs once per (network, configuration) and every
+subsequent request just executes. Deterministic weights are built on a
+plan's first execution.
+
+Every unsharded plan executes the same way (:class:`FusedPlan`): its
+network lowered to a :class:`~repro.graph.lower.GraphProgram`, one
+:class:`~repro.graph.explore.SegmentDecision` per fusion segment, and
+one list of group atoms (:func:`~repro.graph.executor.graph_atoms`)
+that :meth:`~repro.graph.executor.GraphExecutor.run_fused` runs,
+pipeline stages slice and :func:`repro.dist.stage.plan_atoms` prices.
+A linear network lowers through its chain graph
+(:func:`~repro.graph.ir.chain_graph`) to exactly one segment, whose
+decision is the compiled partition; DAG plans
+(:class:`repro.graph.plan.CompiledGraphPlan`) carry one decision per
+segment. :class:`~repro.sim.network_exec.NetworkExecutor` stays outside
+this path, as the oracle served linear outputs are checked against.
 
 A :class:`PlanCache` memoizes compilation keyed on
 :class:`PlanKey` = (network fingerprint, strategy, tip, storage budget,
@@ -34,9 +47,7 @@ import numpy as np
 
 from .. import obs
 from ..core.explorer import explore
-from ..core.fusion import Strategy, units_to_levels
-from ..core.partition import group_tip, split_groups
-from ..core.pyramid import PyramidGeometry, build_pyramid
+from ..core.fusion import Strategy
 from ..errors import ConfigError
 from ..faults.budget import ExplorationBudget
 from ..nn.layers import (
@@ -50,8 +61,6 @@ from ..nn.layers import (
 )
 from ..nn.network import Network
 from ..nn.shapes import TensorShape
-from ..nn.stages import extract_levels, independent_units
-from ..sim.network_exec import NetworkExecutor
 from ..sim.weights import param_bytes
 from .sanitizer import make_lock
 
@@ -147,40 +156,57 @@ def _spec_from_dict(data: Dict[str, Any]) -> LayerSpec:
     return _SPEC_TYPES[kind](**kwargs)
 
 
-class CompiledPlan:
-    """A frozen, executable configuration for one network.
+class FusedPlan:
+    """The execution every unsharded compiled plan shares.
 
-    Holds the network, its chosen fusion partition and per-group pyramid
-    geometry. The executor (deterministic weights per ``seed``) is built
-    on first use, so a plan that is compiled, cached or loaded but never
-    executed holds no weights. Execution is
-    :meth:`NetworkExecutor.run_batch`, carried as
-    :meth:`~repro.sim.network_exec.NetworkExecutor.batch_envs` decides by
-    the stacking rule graph plans share: in ``"int"`` precision one
-    stacked float32 (or float64) call per layer where the magnitude bound
-    allows, the per-item loop otherwise — bit-identical to per-item runs
-    either way.
+    A plan holds its ``key``, ``network``, weight ``seed``, the network
+    lowered to ``program``, one
+    :class:`~repro.graph.explore.SegmentDecision` per segment of it, and
+    ``atoms``: the program as one
+    :class:`~repro.graph.executor.GraphAtom` per fused group. A batch
+    runs those atoms through :meth:`GraphExecutor.run_fused
+    <repro.graph.executor.GraphExecutor.run_fused>` at ``tip=None`` (one
+    pyramid per group), carried as its ``batch_envs`` decides by the one
+    stacking rule, :func:`repro.sim.ops.carrying_dtype`; a pipeline
+    stage (:mod:`repro.dist.plan`) runs a slice of the same atoms.
+    Subclasses add their configuration's public form and persistence.
     """
 
-    def __init__(self, key: PlanKey, network: Network,
-                 partition_sizes: Tuple[int, ...],
-                 geometry: Tuple[PyramidGeometry, ...],
-                 seed: int = 0, degraded: bool = False,
-                 compile_s: float = 0.0):
+    def __init__(self, key: PlanKey, network: Any, program: Any,
+                 decisions: Sequence[Any], seed: int = 0,
+                 degraded: bool = False, compile_s: float = 0.0):
+        from ..graph.executor import check_decisions, graph_atoms
+
         self.key = key
         self.network = network
-        self.partition_sizes = tuple(partition_sizes)
-        self.geometry = tuple(geometry)
+        self.program = program
+        self._decisions = check_decisions(program, decisions)
+        self.atoms = graph_atoms(program, self._decisions)
         self.seed = seed
         self.degraded = degraded
         self.compile_s = compile_s
 
     @functools.cached_property
-    def executor(self) -> NetworkExecutor:
+    def executor(self):
         """Built on first use, so compiling or loading a plan allocates
-        no weights."""
-        return NetworkExecutor(self.network, seed=self.seed,
-                               integer=self.key.precision == "int")
+        no weights. ``tip=None`` runs one pyramid per fused group:
+        fastest, and bit-identical for any tip in integer mode."""
+        from ..graph.executor import GraphExecutor
+
+        return GraphExecutor(
+            self.program.network, decisions=self._decisions, seed=self.seed,
+            integer=self.key.precision == "int", tip=None,
+            program=self.program)
+
+    @property
+    def partition_sizes(self) -> Tuple[int, ...]:
+        """Every fused group's size, in execution order (flattened across
+        segments)."""
+        return tuple(size for d in self._decisions for size in d.sizes)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.partition_sizes)
 
     @property
     def byte_size(self) -> int:
@@ -191,14 +217,37 @@ class CompiledPlan:
         shape = self.network.input_shape
         return weights + shape.elements * 8
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.partition_sizes)
-
     def execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Run a batch; outputs are bit-identical to per-item
-        :meth:`NetworkExecutor.run` calls."""
-        return self.executor.run_batch(xs)
+        """Run a batch as one stacked :meth:`GraphExecutor.run_fused
+        <repro.graph.executor.GraphExecutor.run_fused>` call; in integer
+        precision the outputs are bit-identical to per-item reference
+        runs. An empty batch builds nothing."""
+        if len(xs) == 0:
+            return []
+        return list(self.executor.run_fused(
+            np.stack([np.asarray(x) for x in xs])))
+
+
+class CompiledPlan(FusedPlan):
+    """A frozen, executable configuration for one linear network.
+
+    Holds the network and its chosen fusion partition. The network's
+    chain graph lowers to one fusion segment whose decision is that
+    partition (checked against the segment, so an explicit or restored
+    partition that does not cover it raises :class:`ConfigError`);
+    execution is :class:`FusedPlan`'s. Linear plans expose no
+    ``decisions``: their configuration is ``partition_sizes``.
+    """
+
+    def __init__(self, key: PlanKey, network: Network,
+                 partition_sizes: Sequence[int], seed: int = 0,
+                 degraded: bool = False, compile_s: float = 0.0):
+        from ..graph.explore import SegmentDecision
+
+        super().__init__(
+            key, network, _chain_program(network),
+            (SegmentDecision(sizes=tuple(int(s) for s in partition_sizes)),),
+            seed=seed, degraded=degraded, compile_s=compile_s)
 
     def describe(self) -> str:
         mode = "degraded " if self.degraded else ""
@@ -238,23 +287,30 @@ class CompiledPlan:
         c, h, w = data["input_shape"]
         network = Network(data["network_name"], TensorShape(c, h, w),
                           [_spec_from_dict(d) for d in data["layers"]])
-        key = PlanKey.from_dict(data["key"])
-        sizes = tuple(int(s) for s in data["partition_sizes"])
-        geometry = _partition_geometry(network, sizes, key.tip)
-        return cls(key=key, network=network, partition_sizes=sizes,
-                   geometry=geometry, seed=int(data["seed"]),
-                   degraded=bool(data["degraded"]))
+        return cls(key=PlanKey.from_dict(data["key"]), network=network,
+                   partition_sizes=data["partition_sizes"],
+                   seed=int(data["seed"]), degraded=bool(data["degraded"]))
 
 
-def _partition_geometry(network: Network, sizes: Tuple[int, ...],
-                        tip: int) -> Tuple[PyramidGeometry, ...]:
-    """Pyramid geometry for each fused group of the chosen partition."""
-    units = independent_units(extract_levels(network.feature_extractor()))
-    geometry: List[PyramidGeometry] = []
-    for group in split_groups(units, sizes):
-        levels = units_to_levels(group)
-        geometry.append(build_pyramid(levels, *group_tip(levels, tip)))
-    return tuple(geometry)
+def _chain_program(network: Network):
+    """The lowered chain graph of ``network``. Its windowed layers must
+    form one fusion segment; a layer between them that does not fold
+    onto a level (a ReLU or a second LRN after a folded LRN, an FC
+    followed by a windowed layer) raises :class:`ConfigError` naming
+    it."""
+    from ..graph.ir import chain_graph
+    from ..graph.lower import lower_graph
+
+    program = lower_graph(chain_graph(network))
+    segments = program.segments
+    if len(segments) > 1:
+        split = program.steps[program.steps.index(segments[1]) - 1]
+        raise ConfigError(
+            f"{split.name}: this {type(split.node.spec).__name__} does not "
+            "fold onto a level and splits the windowed layers into "
+            f"{len(segments)} fusion segments; a linear plan runs one",
+            network=network.name, layer=split.name)
+    return program
 
 
 def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
@@ -277,8 +333,10 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
     fits). ``budget`` bounds that search; a budget-truncated sweep still
     compiles, with ``degraded=True`` recorded on the plan. With
     ``partition_sizes`` (an explicit spec, or a cache restore) no
-    exploration runs at all — only the chosen partition's geometry is
-    built.
+    exploration runs at all. Either way the network's chain graph is
+    lowered and the partition checked against its one fusion segment: a
+    partition that does not cover it, or a chain that lowers to more
+    than one segment, raises :class:`ConfigError`.
 
     ``tuned`` accepts a :class:`repro.tune.TunedRecord` (anything with
     ``fingerprint``/``objective``/``partition_sizes``/``strategy``/
@@ -372,9 +430,7 @@ def compile_plan(network: Network, strategy: Strategy = Strategy.REUSE,
             degraded = result.degraded
         else:
             sizes = tuple(int(s) for s in partition_sizes)
-        geometry = _partition_geometry(network, tuple(sizes), tip)
-    plan = CompiledPlan(key=key, network=network,
-                        partition_sizes=tuple(sizes), geometry=geometry,
+    plan = CompiledPlan(key=key, network=network, partition_sizes=sizes,
                         seed=seed, degraded=degraded,
                         compile_s=time.perf_counter() - t0)
     if validate:
@@ -551,7 +607,7 @@ class PlanCache:
     def load(self, path) -> int:
         """Merge plans from ``path`` into the cache; returns the count.
 
-        Restored plans rebuild their network and geometry from the saved
+        Restored plans rebuild and lower their network from the saved
         description and reject a partition or decisions that do not fit
         it. No exploration work runs and no weights are built: each plan
         builds its weights on its first execution.

@@ -3,9 +3,12 @@
 Workers are threads by default; ``mode="process"`` additionally gives
 each worker a child process executing the compiled plan, so NumPy work
 that holds the GIL still overlaps across workers (the parent thread
-blocks on the pipe with the GIL released). Outputs are bit-identical to
-a direct :meth:`~repro.sim.network_exec.NetworkExecutor.run` either way
-— thread workers share the plan's executor, process workers rebuild it
+blocks on the pipe with the GIL released). Every plan executes through
+its :class:`~repro.graph.executor.GraphExecutor` (a linear plan's runs
+its network's chain graph), and outputs are bit-identical to the direct
+reference — :meth:`~repro.sim.network_exec.NetworkExecutor.run` for a
+linear network, ``GraphExecutor.run_reference`` for a DAG — either way:
+thread workers share the plan's executor, process workers rebuild it
 deterministically from the plan's serialized form.
 
 Worker-level faults follow the :mod:`repro.faults` contract: when an

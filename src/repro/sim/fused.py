@@ -274,22 +274,19 @@ class FusedExecutor:
     def _assemble(self, call: _Call, i: int, pending, rlo: int, rbt: int,
                   rhi: int, clo: int, cbl: int, chi: int) -> np.ndarray:
         """Build level ``i``'s input window from BT + BL + fresh data."""
-        level = self.plans[i].level
         state = call.states[i]
-        channels = level.in_channels
-        window = np.zeros(call.lead + (channels, rhi - rlo, chi - clo),
-                          dtype=self.dtype)
-
         if state is None:
             # No reuse buffering at this map: the whole window is fresh
             # (only legal for the group input with input_reuse=False, or a
-            # map with no inter-pyramid overlap).
+            # map with no inter-pyramid overlap), framed in a new array.
             if i == 0:
-                window[:] = self._read_input(call, rlo, rhi, clo, chi)
-            else:
-                window[:] = self._place_fresh(i, pending, rlo, rhi, clo, chi)
-            return window
+                return self._read_input(call, rlo, rhi, clo, chi)
+            return self._place_fresh(i, pending, rlo, rhi, clo, chi)
 
+        level = self.plans[i].level
+        window = np.zeros(
+            call.lead + (level.in_channels, rhi - rlo, chi - clo),
+            dtype=self.dtype)
         if rbt > rlo:
             window[..., :rbt - rlo, :] = state.read_bt(rlo, rbt, clo, chi)
         if cbl > clo:
@@ -368,6 +365,8 @@ class FusedExecutor:
         fresh, (fr0, fr1, fc0, fc1) = pending
         level = self.plans[i].level
         pad = level.pad
+        if pad == 0 and (fr0, fr1, fc0, fc1) == (r0, r1, c0, c1):
+            return fresh  # the demand exactly: nothing to frame
         block = np.zeros(fresh.shape[:-2] + (r1 - r0, c1 - c0), dtype=self.dtype)
         in_shape = level.in_shape
         u_r0 = min(max(r0 - pad, 0), in_shape.height)
@@ -389,6 +388,8 @@ class FusedExecutor:
     def _pad_block(x: np.ndarray, pad: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block [r0,r1)x[c0,c1) of the zero-padded version of ``x``."""
         height, width = x.shape[-2:]
+        if pad == 0 and (r0, r1, c0, c1) == (0, height, 0, width):
+            return x  # the whole unpadded map: nothing to frame
         block = np.zeros(x.shape[:-2] + (r1 - r0, c1 - c0), dtype=x.dtype)
         u_r0, u_r1 = max(r0 - pad, 0), min(r1 - pad, height)
         u_c0, u_c1 = max(c0 - pad, 0), min(c1 - pad, width)

@@ -271,29 +271,15 @@ def weight_norms(params: Params) -> Dict[str, Optional[Norm]]:
     return norms
 
 
-def chain_bound(specs, peak: float,
-                norms: Dict[str, Optional[Norm]]) -> Tuple[float, bool]:
-    """The largest :attr:`Magnitude.bound` of any tensor of an
-    integer-mode run of the layer chain ``specs`` from inputs no larger
-    than ``peak``, and whether no layer can round
-    (:func:`repro.graph.executor.graph_bound` walks a DAG)."""
-    m = Magnitude(peak)
-    bound, exact = m.bound, True
-    for spec in specs:
-        m = spec_magnitude(spec, m, norms.get(spec.name))
-        bound, exact = max(bound, m.bound), exact and m.exact
-    return bound, exact
-
-
 def carrying_dtype(xs: np.ndarray,
                    bound: Callable[[float], Tuple[float, bool]]):
     """The one stacking rule: the float type that carries the stacked
     integer-mode batch ``xs`` exactly, or None to run it item by item.
 
     ``bound`` maps the batch's largest |input| to ``(bound, exact)``, as
-    :func:`chain_bound` does: the batch stacks in float32 below 2^24 and
-    in float64 below 2^53, unless an input is non-integral or an
-    operator rounds."""
+    :func:`repro.graph.executor.graph_bound` does: the batch stacks in
+    float32 below 2^24 and in float64 below 2^53, unless an input is
+    non-integral or an operator rounds."""
     if not np.array_equal(xs, np.rint(xs)):
         return None
     peak, exact = bound(float(np.abs(xs).max(initial=0.0)))
@@ -304,7 +290,8 @@ def carrying_dtype(xs: np.ndarray,
 
 def run_level(level: Level, x: np.ndarray, params: Params,
               pad: Optional[int] = None) -> np.ndarray:
-    """Evaluate one windowed level (pad + conv/pool + optional ReLU).
+    """Evaluate one windowed level (pad + conv/pool + optional ReLU,
+    then its folded LRN, if any).
 
     ``pad`` defaults to the level's own padding; the pyramid executors
     pass 0 because their windows are already in padded coordinates.
@@ -318,4 +305,5 @@ def run_level(level: Level, x: np.ndarray, params: Params,
     else:
         pool = maxpool2d if level.pool_mode == "max" else avgpool2d
         out = pool(pad2d(x, pad), level.kernel, level.stride)
-    return relu(out) if level.has_relu else out
+    out = relu(out) if level.has_relu else out
+    return out if level.lrn is None else apply_spec(level.lrn, out, params)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.nn.zoo import toynet
-from repro.sim import NetworkExecutor
+from repro.sim import NetworkExecutor, make_input
 
 
 @pytest.fixture
@@ -16,12 +15,9 @@ def net():
 
 @pytest.fixture
 def inputs(net):
-    """16 deterministic integer-valued inputs in ToyNet's input shape."""
-    shape = net.input_shape
-    rng = np.random.default_rng(42)
-    dims = (shape.channels, shape.height, shape.width)
-    return [np.round(rng.uniform(-4.0, 4.0, size=dims))
-            for _ in range(16)]
+    """16 deterministic integer-mode inputs in ToyNet's input shape."""
+    return [make_input(net.input_shape, seed=42 + i, integer=True)
+            for i in range(16)]
 
 
 @pytest.fixture

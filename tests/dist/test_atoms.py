@@ -1,13 +1,15 @@
 """One atom list per compiled plan: execution, stages and pricing agree.
 
 Conservation after the codelets ``check_fused_layer_count`` idea: every
-layer binding or graph node lands in exactly one atom (as a group member
-or a rider), there is one atom per fused group, and the priced atoms sum
-to the network's modeled arithmetic. The DAG cases pin the rider rule at
+graph node (of a DAG, or of a linear network's chain graph) lands in
+exactly one atom (as a group member or a rider), there is one atom per
+fused group, and the priced atoms sum to the network's modeled
+arithmetic. The DAG cases pin the rider rule at
 the edges: steps before the first fused group, and a program with none.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ import pytest
 from repro import alexnet, googlenet_stem, nin_cifar, toynet, vgg16, vggnet_e, zfnet
 from repro.core.costs import one_pass_ops
 from repro.dist import compile_pipeline_plan, plan_atoms, split_device
-from repro.dist.stage import linear_atoms
 from repro.errors import ConfigError
 from repro.faults.budget import ExplorationBudget
 from repro.graph import GraphExecutor, GraphNetwork, compile_graph_plan
@@ -63,8 +64,8 @@ def _modeled_ops(program):
 
 def _node_owners(network, atoms):
     """How many atoms claim each graph node. Levels, joins and opaque
-    riders name their nodes; a ReLU folded onto a level belongs to the
-    atom of the level it reads."""
+    riders name their nodes; a ReLU or LRN folded onto a level belongs
+    to the atom of the level it reads."""
     owner = Counter()
     placed = {}
 
@@ -85,7 +86,8 @@ def _node_owners(network, atoms):
             for name in join.node_names:
                 place(name, atom.index)
     for node in network:  # topological order
-        if isinstance(node.spec, ReLUSpec) and node.name not in placed:
+        if (isinstance(node.spec, (ReLUSpec, LRNSpec))
+                and node.name not in placed):
             place(node.name, placed[node.inputs[0]])
     return owner
 
@@ -105,10 +107,13 @@ class TestLinearConservation:
         else:
             plan = compile_plan(features, validate=False,
                                 partition_sizes=(1,) * len(levels))
-        atoms = linear_atoms(plan.network, plan.partition_sizes)
+        atoms = plan.atoms
         assert len(atoms) == plan.num_groups
-        assert [b for atom in atoms for b in atom.bindings] == list(features)
-        assert [lv for atom in atoms for lv in atom.levels] == levels
+        owners = _node_owners(plan.program.network, atoms)
+        assert set(owners) == {binding.name for binding in features}
+        assert set(owners.values()) == {1}
+        assert [replace(lv, lrn=None) for atom in atoms
+                for lv in atom.levels] == levels
         priced = plan_atoms(plan)
         assert len(priced) == plan.num_groups
         assert sum(a.ops for a in priced) == one_pass_ops(levels)
@@ -116,11 +121,11 @@ class TestLinearConservation:
     def test_classifier_tail_rides_the_last_group(self):
         net = alexnet()
         plan = compile_plan(net, validate=False, partition_sizes=(1,) * 8)
-        atoms = linear_atoms(net, plan.partition_sizes)
+        atoms = plan.atoms
         tail = list(net)[len(net.feature_extractor()):]
-        assert list(atoms[-1].tail) == tail
-        assert atoms[-1].bindings[-len(tail):] == tuple(tail)
-        assert all(atom.tail == () for atom in atoms[:-1])
+        assert [rider.name for rider in atoms[-1].riders] == [
+            b.name for b in tail]
+        assert all(atom.riders == atom.leading == () for atom in atoms[:-1])
         priced = plan_atoms(plan)
         assert sum(a.ops for a in priced) == (
             one_pass_ops(extract_levels(net)) + sum(b.total_ops for b in tail))

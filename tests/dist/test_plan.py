@@ -16,6 +16,7 @@ from repro.errors import ConfigError
 from repro.hw.device import DEFAULT_DEVICE
 from repro.nn.zoo import toynet
 from repro.serve import CompiledPlan, compile_plan
+from repro.sim import make_input
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +31,8 @@ def plan(fleet):
 
 @pytest.fixture(scope="module")
 def inputs():
-    net = toynet()
-    shape = net.input_shape
-    rng = np.random.default_rng(42)
-    dims = (shape.channels, shape.height, shape.width)
-    return [np.round(rng.uniform(-4.0, 4.0, size=dims)) for _ in range(6)]
+    return [make_input(toynet().input_shape, seed=42 + i, integer=True)
+            for i in range(6)]
 
 
 class TestPlanKey:

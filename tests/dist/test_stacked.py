@@ -1,13 +1,15 @@
-"""Served DAG batches run as one stacked array, chosen by one bound.
+"""Served batches run as one stacked array, chosen by one bound.
 
 ``GraphExecutor.batch_envs`` carries a batch as one ``(B, C, H, W)``
 array in float32 while :func:`repro.graph.executor.graph_bound` stays
 below 2^24, in float64 below 2^53, and item by item in float64
 otherwise (an operator that rounds, a non-integral input, a fault
 injector). Whatever path a batch takes, every integer-mode output is
-float64 and byte-equal to a per-item ``run_reference``. The tests read
-the path from the ``graph.run``/``dist.execute`` span attributes and
-the ``graph.per_item_batches`` counter.
+float64 and byte-equal to a per-item reference: ``run_reference`` for a
+DAG, the layer-by-layer ``NetworkExecutor.run`` for a linear network,
+whose plans run through the same executor on its chain graph. The
+tests read the path from the ``graph.run``/``dist.execute`` span
+attributes and the ``graph.per_item_batches`` counter.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import googlenet_stem, nin_cifar, toynet
 from repro.dist import compile_pipeline_plan
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import GraphExecutor, compile_graph_plan
@@ -26,7 +29,8 @@ from repro.graph.lower import lower_graph
 from repro.graph.zoo import mobilenetv2, resnet18, resnet50, yolo_head
 from repro.hw.device import DEFAULT_DEVICE
 from repro.obs import capture
-from repro.sim import TrafficTrace
+from repro.serve import compile_plan
+from repro.sim import NetworkExecutor, TrafficTrace, make_input
 from repro.sim.ops import weight_norms
 from repro.sim.weights import INPUT_PEAK
 
@@ -43,6 +47,13 @@ NETWORKS = {
     "tiny_diamond": tiny_diamond,
 }
 BATCHES = (1, 2, 3, 8)
+#: Linear networks and the dtype their integer batches carry: the
+#: GoogLeNet stem's LRN rounds, so its batches run item by item.
+LINEAR = {
+    "toynet": (toynet, "float32"),
+    "nin_cifar": (nin_cifar, "float32"),
+    "googlenet_stem": (googlenet_stem, "float64"),
+}
 
 
 def _split(devices):
@@ -76,6 +87,29 @@ def served(request):
     return plans, xs, refs
 
 
+@pytest.fixture(scope="module", params=sorted(LINEAR))
+def served_linear(request):
+    """A linear network's explored plan, a 2-device pipeline plan over an
+    explicit two-group partition (the explored partitions are one group,
+    which cannot fill two devices), the carrying dtype, 8 integer inputs
+    and their per-item ``NetworkExecutor.run`` bytes."""
+    factory, dtype = LINEAR[request.param]
+    net = factory()
+    plan = compile_plan(net, seed=5)
+    levels = sum(plan.partition_sizes)
+    plans = {
+        "linear": plan,
+        "pipeline2": compile_plan(net, seed=5, devices=_split(2),
+                                  partition_sizes=(levels // 2,
+                                                   levels - levels // 2)),
+    }
+    reference = NetworkExecutor(net, seed=5, integer=True)
+    xs = [make_input(net.input_shape, seed=s, integer=True)
+          for s in range(max(BATCHES))]
+    refs = [reference.run(x).tobytes() for x in xs]
+    return plans, dtype, xs, refs
+
+
 class TestBitIdentityMatrix:
     @pytest.mark.parametrize("plan_name",
                              ["graph", "pipeline1", "pipeline2", "pipeline3"])
@@ -87,6 +121,29 @@ class TestBitIdentityMatrix:
             outs, attrs, per_item = _capture_execute(plan, xs[:batch])
             assert (attrs["batch"], attrs["dtype"], per_item) == (
                 batch, "float32", 0)
+            assert len(outs) == batch
+            for out, ref in zip(outs, refs):
+                assert out.dtype == np.float64
+                assert out.tobytes() == ref
+
+    @pytest.mark.parametrize("plan_name", ["linear", "pipeline2"])
+    def test_linear_batches_match_network_executor(self, served_linear,
+                                                   plan_name):
+        plans, dtype, xs, refs = served_linear
+        plan = plans[plan_name]
+        assert plan.num_groups >= (2 if plan_name == "pipeline2" else 1)
+        for batch in BATCHES:
+            with capture() as registry:
+                outs = plan.execute(xs[:batch])
+            (top,) = [s.attrs for s in registry.spans
+                      if s.name in ("graph.run", "dist.execute")]
+            per_item = registry.counters.get("graph.per_item_batches", 0)
+            assert (top["batch"], top["dtype"], per_item) == (
+                batch, dtype, int(dtype == "float64"))
+            # every fused group ran as a graph atom, once per carried array
+            atoms = sum(s.name.startswith("graph.atom[")
+                        for s in registry.spans)
+            assert atoms == plan.num_groups * (batch if per_item else 1)
             assert len(outs) == batch
             for out, ref in zip(outs, refs):
                 assert out.dtype == np.float64
@@ -184,6 +241,38 @@ class TestPerItemFallback:
         for out, x in zip(outs, xs):
             assert out.dtype == np.float32
             assert out.tobytes() == plan.executor.run_fused(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_precision_keeps_each_request_precision(self, dtype):
+        """Float plans of both families, sharded or not, compute each
+        request in its own precision: the dtype the layer-by-layer
+        ``NetworkExecutor.run`` (linear) and ``run_reference`` (DAG)
+        return for it."""
+        linear = compile_plan(toynet(), precision="float", seed=2,
+                              partition_sizes=(1, 1))
+        dag = compile_graph_plan(tiny_residual(), precision="float", seed=2,
+                                 decisions=_layer_by_layer(
+                                     lower_graph(tiny_residual())))
+        oracles = {
+            linear: NetworkExecutor(linear.network, seed=2,
+                                    integer=False).run,
+            dag: GraphExecutor(dag.network, seed=2,
+                               integer=False).run_reference,
+        }
+        for base, oracle in oracles.items():
+            rng = np.random.default_rng(3)
+            shape = base.network.input_shape
+            xs = [rng.standard_normal(
+                (shape.channels, shape.height, shape.width)).astype(dtype)
+                for _ in range(3)]
+            refs = [oracle(x) for x in xs]
+            for plan in (base, compile_pipeline_plan(base=base,
+                                                     devices=_split(2))):
+                outs, attrs, per_item = _capture_execute(plan, xs)
+                assert (attrs["dtype"], per_item) == (np.dtype(dtype).name, 0)
+                for out, ref in zip(outs, refs):
+                    assert out.dtype == ref.dtype == dtype
+                    assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("devices", [1, 2])
     def test_lrn_first_dag(self, devices):

@@ -5,12 +5,13 @@ The tiny graphs exercise every join mechanism in a few thousand MACs:
 the consuming segment's own input (a retained skip), ``tiny_concat``
 a depth concatenation, and ``tiny_diamond`` a join neither of whose
 operands can fuse through (both branches are multi-node).
+``tiny_lrn`` has no join: an LRN folded onto a level inside a segment.
 """
 
 import pytest
 
 from repro.graph import ConcatSpec, EltwiseSpec, GraphNetwork
-from repro.nn.layers import ConvSpec, PoolSpec, ReLUSpec
+from repro.nn.layers import ConvSpec, LRNSpec, PoolSpec, ReLUSpec
 from repro.nn.shapes import TensorShape
 
 
@@ -22,6 +23,16 @@ def tiny_residual(size: int = 14) -> GraphNetwork:
     net.add(EltwiseSpec("res", op="add"), inputs=("c2", "c1_relu"))
     net.add(ReLUSpec("res_relu"))
     net.add(ConvSpec("c3", kernel=3, stride=1, out_channels=4, padding=1))
+    return net
+
+
+def tiny_lrn(size: int = 12) -> GraphNetwork:
+    """conv -> ReLU -> LRN -> conv: the LRN folds onto ``c1``'s level."""
+    net = GraphNetwork("tiny-lrn", TensorShape(3, size, size))
+    net.add(ConvSpec("c1", kernel=3, stride=1, out_channels=8, padding=1))
+    net.add(ReLUSpec("c1_relu"))
+    net.add(LRNSpec("c1_norm"))
+    net.add(ConvSpec("c2", kernel=3, stride=1, out_channels=4, padding=1))
     return net
 
 

@@ -16,6 +16,7 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import (
     GRAPH_ZOO,
     GraphExecutor,
+    SegmentDecision,
     default_decisions,
     explore_graph,
     lower_graph,
@@ -23,7 +24,7 @@ from repro.graph import (
 )
 from repro.sim import TrafficTrace
 
-from .conftest import tiny_concat, tiny_diamond, tiny_residual
+from .conftest import tiny_concat, tiny_diamond, tiny_lrn, tiny_residual
 
 BYTES_PER_WORD = 4
 
@@ -64,6 +65,19 @@ class TestBitIdentity:
         tiled = GraphExecutor(residual_net, tip=1)
         x = whole.make_input()
         assert np.array_equal(whole.run_fused(x), tiled.run_fused(x))
+
+    @pytest.mark.parametrize("sizes", [(2,), (1, 1)])
+    @pytest.mark.parametrize("tip", [1, 3, None])
+    def test_folded_lrn_matches_reference(self, tip, sizes):
+        net = tiny_lrn()
+        executor = GraphExecutor(net, decisions=(SegmentDecision(sizes),),
+                                 tip=tip)
+        (segment,) = executor.program.segments
+        assert segment.levels[0].lrn.name == "c1_norm"
+        for seed in (1, 2):
+            x = executor.make_input(seed=seed)
+            assert (executor.run_fused(x).tobytes()
+                    == executor.run_reference(x).tobytes())
 
     def test_default_decisions_fully_fuse(self, residual_net):
         program = lower_graph(residual_net)

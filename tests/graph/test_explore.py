@@ -3,14 +3,18 @@
 import pytest
 
 from repro.core import Strategy
+from repro.dist.stage import plan_atoms
 from repro.graph import (
     GRAPH_ZOO,
+    GraphNetwork,
     SegmentDecision,
+    compile_graph_plan,
     explore_graph,
     lower_graph,
 )
+from repro.nn.layers import LRNSpec
 
-from .conftest import tiny_residual
+from .conftest import tiny_lrn, tiny_residual
 
 
 class TestOrdering:
@@ -93,3 +97,43 @@ class TestDecisions:
         assert (a.chosen.decisions == b.chosen.decisions
                 and a.chosen.feature_transfer_bytes
                 == b.chosen.feature_transfer_bytes)
+
+
+class TestFoldedLRNPricing:
+    """An LRN folded onto its level (``Level.lrn``) is priced like a
+    folded ReLU: no cost model reads it. So a DAG with conv -> ReLU ->
+    LRN -> conv explores and prices exactly as the same DAG without its
+    LRN: one segment, and no opaque DRAM round trip or arithmetic for
+    the LRN."""
+
+    @staticmethod
+    def _numbers(config):
+        return (config.decisions, config.feature_transfer_bytes,
+                config.fixed_transfer_bytes, config.extra_storage_bytes,
+                config.fused_layer_count)
+
+    @staticmethod
+    def _priced(plan):
+        return [(a.ops, a.weight_bytes, a.dsp_floor, a.bram_words,
+                 [nbytes for _, nbytes, _ in a.reads],
+                 [nbytes for _, nbytes in a.writes])
+                for a in plan_atoms(plan)]
+
+    def test_explore_and_plan_atoms_ignore_the_folded_lrn(self):
+        with_lrn = tiny_lrn()
+        twin = GraphNetwork("tiny-lrn-free", with_lrn.input_shape)
+        for node in with_lrn:
+            if not isinstance(node.spec, LRNSpec):
+                twin.add(node.spec)
+        assert len(lower_graph(with_lrn).segments) == 1
+        for tip in (1, 3):
+            got, want = explore_graph(with_lrn, tip=tip), explore_graph(
+                twin, tip=tip)
+            for config in ("chosen", "all_boundary", "layer_by_layer"):
+                assert self._numbers(getattr(got, config)) == self._numbers(
+                    getattr(want, config)), (tip, config)
+            assert got.chosen.fixed_transfer_bytes == 0
+        for decisions in (None, (SegmentDecision(sizes=(1, 1)),)):
+            assert self._priced(compile_graph_plan(
+                with_lrn, decisions=decisions)) == self._priced(
+                    compile_graph_plan(twin, decisions=decisions))

@@ -1,10 +1,26 @@
 """Lowering: segment decomposition, join classification, coverage."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.graph import GRAPH_ZOO, GraphNetwork, lower_graph
-from repro.nn.layers import ConvSpec, FCSpec, PadSpec, ReLUSpec
+from repro import alexnet, googlenet_stem, nin_cifar, toynet, vgg16, vggnet_e, zfnet
+from repro.graph import (
+    GRAPH_ZOO,
+    GraphNetwork,
+    SegmentDecision,
+    chain_graph,
+    lower_graph,
+)
+from repro.graph.executor import graph_atoms
+from repro.nn.layers import ConvSpec, FCSpec, LRNSpec, PadSpec, ReLUSpec
 from repro.nn.shapes import TensorShape
+from repro.nn.stages import extract_levels
+
+from .conftest import tiny_lrn
+
+LINEAR_ZOO = [toynet, nin_cifar, alexnet, zfnet, googlenet_stem, vgg16,
+              vggnet_e]
 
 
 class TestTinyGraphs:
@@ -86,3 +102,53 @@ class TestFolding:
         net.add(FCSpec("fc", out_features=10))
         program = lower_graph(net)
         assert [step.name for step in program.opaques] == ["fc"]
+
+    def test_lrn_folds_onto_its_level(self):
+        program = lower_graph(tiny_lrn())
+        (segment,) = program.segments
+        assert program.steps == (segment,)
+        assert [lv.name for lv in segment.levels] == ["c1", "c2"]
+        first = segment.levels[0]
+        assert first.has_relu and first.lrn == LRNSpec("c1_norm")
+        assert program.node_step["c1_norm"] == segment.name
+
+    def test_relu_after_lrn_stays_opaque(self):
+        """A level applies its ReLU before its LRN, so a ReLU after a
+        folded LRN cannot fold: it bounds the segment."""
+        net = GraphNetwork("lrn-relu", TensorShape(3, 8, 8))
+        net.add(ConvSpec("c1", kernel=3, stride=1, out_channels=4, padding=1))
+        net.add(LRNSpec("n1"))
+        net.add(ReLUSpec("r1"))
+        net.add(ConvSpec("c2", kernel=3, stride=1, out_channels=4, padding=1))
+        program = lower_graph(net)
+        assert len(program.segments) == 2
+        assert [step.name for step in program.opaques] == ["r1"]
+        assert not program.segments[0].levels[0].has_relu
+
+
+class TestChainGraph:
+    def test_one_node_per_layer(self):
+        net = alexnet()
+        graph = chain_graph(net)
+        assert [(node.name, node.spec) for node in graph] == [
+            (binding.name, binding.spec) for binding in net]
+        assert [node.output_shape for node in graph] == [
+            binding.output_shape for binding in net]
+        assert graph.output_name == net[-1].name
+
+    @pytest.mark.parametrize("factory", LINEAR_ZOO, ids=lambda f: f.__name__)
+    def test_linear_zoo_lowers_to_one_segment(self, factory):
+        net = factory()
+        program = lower_graph(chain_graph(net))
+        (segment,) = program.segments
+        assert program.steps[0] is segment
+        assert [replace(lv, lrn=None) for lv in segment.levels] == (
+            extract_levels(net.feature_extractor()))
+        assert [lv.lrn.name for lv in segment.levels if lv.lrn] == [
+            b.name for b in net if isinstance(b.spec, LRNSpec)]
+        atoms = graph_atoms(program, [SegmentDecision(
+            sizes=(1,) * len(segment.levels))])
+        classifier = list(net)[len(net.feature_extractor()):]
+        assert [rider.name for rider in atoms[-1].riders] == [
+            b.name for b in classifier]
+        assert all(atom.riders == atom.leading == () for atom in atoms[:-1])

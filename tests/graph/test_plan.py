@@ -25,6 +25,7 @@ from repro.graph import (
 from repro.nn.zoo import toynet
 from repro.serve import InferenceService, PlanCache
 from repro.serve.plan import CompiledPlan, compile_plan, make_plan_key
+from repro.sim import make_input
 
 from .conftest import tiny_residual
 
@@ -219,11 +220,8 @@ class TestServing:
         network = tiny_residual()
         svc = InferenceService(network, workers=2, max_batch=4, seed=5)
         reference = GraphExecutor(network, seed=5)
-        rng = np.random.default_rng(0)
-        shape = network.input_shape
-        xs = [np.round(rng.uniform(-3, 3, size=(shape.channels, shape.height,
-                                                shape.width)))
-              for _ in range(6)]
+        xs = [make_input(network.input_shape, seed=i, integer=True)
+              for i in range(6)]
         try:
             svc.start()
             outs = [svc.submit(x).result(timeout=60) for x in xs]

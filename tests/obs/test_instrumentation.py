@@ -84,14 +84,16 @@ class TestSimulatorMirroring:
 
 
     def test_shared_trace_mirrors_each_calls_own_traffic(self):
-        """A per-item batch loop and a two-group partitioned run each
-        share one trace across calls; the counters equal that trace."""
+        """A per-item loop of network runs and a two-group partitioned
+        run each share one trace across calls; the counters equal that
+        trace."""
         net = toynet()
         levels = extract_levels(net)
+        network = NetworkExecutor(net)
         runs = {
-            "sim.network": lambda trace: NetworkExecutor(net).run_batch(
-                [make_input(net.input_shape, seed=i) for i in range(4)],
-                trace),
+            "sim.network": lambda trace: [
+                network.run(make_input(net.input_shape, seed=i), trace)
+                for i in range(4)],
             "sim.fused": lambda trace: PartitionedExecutor(
                 levels, (1, 1), integer=True).run(
                     make_input(levels[0].in_shape, integer=True), trace),

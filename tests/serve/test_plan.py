@@ -18,14 +18,18 @@ from repro.serve import (
     compile_plan,
     make_plan_key,
 )
+from repro.sim import NetworkExecutor, make_input
 
 
-def _execute_counting_runs(plan, xs):
-    """A plan's outputs and its executor's ``network.run`` span count:
-    one for a stacked batch, one per item on the per-item path."""
+def _execute_carried(plan, xs):
+    """A plan's outputs, the dtype its ``graph.run`` span reports the
+    batch carried in, and the ``graph.per_item_batches`` count: 1 for an
+    integer batch run item by item."""
     with capture() as registry:
         outs = plan.execute(xs)
-    return outs, [s.name for s in registry.spans].count("network.run")
+    (span,) = [s for s in registry.spans if s.name == "graph.run"]
+    return (outs, span.attrs["dtype"],
+            registry.counters.get("graph.per_item_batches", 0))
 
 
 class TestPlanKey:
@@ -56,7 +60,7 @@ class TestCompilePlan:
     def test_explored_plan_covers_all_units(self, net):
         plan = compile_plan(net)
         assert sum(plan.partition_sizes) >= 1
-        assert plan.num_groups == len(plan.geometry)
+        assert plan.num_groups == len(plan.atoms)
         assert not plan.degraded
 
     def test_explicit_partition_skips_exploration(self, net):
@@ -99,28 +103,59 @@ class TestCompilePlan:
             ConvSpec("c2", kernel=3, stride=1, out_channels=4, padding=1),
         ])
         plan = compile_plan(network)
-        rng = np.random.default_rng(5)
-        xs = [np.round(rng.uniform(-4.0, 4.0, size=(3, 8, 8)))
-              for _ in range(3)]
-        outs, runs = _execute_counting_runs(plan, xs)
-        assert runs == 3  # LRN breaks exact integer arithmetic: per item
+        xs = [make_input(network.input_shape, seed=5 + i, integer=True)
+              for i in range(3)]
+        outs, dtype, per_item = _execute_carried(plan, xs)
+        # LRN breaks exact integer arithmetic: item by item, in float64
+        assert (dtype, per_item) == ("float64", 1)
+        oracle = NetworkExecutor(network, seed=0, integer=True)
         for x, out in zip(xs, outs):
-            assert np.array_equal(out, plan.executor.run(x))
+            assert out.tobytes() == oracle.run(x).tobytes()
 
     def test_int_plan_serves_via_one_stacked_call(self, net, inputs, golden):
         plan = compile_plan(net)
-        outs, runs = _execute_counting_runs(plan, inputs[:3])
-        assert runs == 1
+        outs, dtype, per_item = _execute_carried(plan, inputs[:3])
+        assert (dtype, per_item) == ("float32", 0)
         for out, ref in zip(outs, golden):
-            assert np.array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes()
 
     def test_float_precision_plan_serves_via_per_item_loop(self, net, inputs):
         plan = compile_plan(net, precision="float")
-        outs, runs = _execute_counting_runs(plan, inputs[:3])
-        assert runs == 3
-        refs = [plan.executor.run(x) for x in inputs[:3]]
-        for out, ref in zip(outs, refs):
-            assert np.array_equal(out, ref)
+        with capture() as registry:
+            outs = plan.execute(inputs[:3])
+        (span,) = [s for s in registry.spans if s.name == "graph.run"]
+        atom = f"graph.atom[{plan.atoms[0].name}]"
+        # float64 requests compute in float64, as the oracle does
+        assert span.attrs["dtype"] == "float64"
+        assert [s.name for s in registry.spans].count(atom) == 3  # per item
+        assert "graph.per_item_batches" not in registry.counters
+        oracle = NetworkExecutor(net, seed=0, integer=False)
+        for x, out in zip(inputs[:3], outs):
+            ref = oracle.run(x)
+            assert out.dtype == ref.dtype == np.float64
+            assert out.tobytes() == ref.tobytes()
+
+    def test_relu_after_lrn_is_rejected(self):
+        from repro import ConvSpec, Network, ReLUSpec, TensorShape
+        from repro.nn.layers import FCSpec, LRNSpec
+
+        network = Network("lrn-relu", TensorShape(3, 8, 8), [
+            ConvSpec("c1", kernel=3, stride=1, out_channels=4, padding=1),
+            LRNSpec("n1"),
+            ReLUSpec("r1"),
+            ConvSpec("c2", kernel=3, stride=1, out_channels=4, padding=1),
+        ])
+        for sizes in (None, (1, 1)):
+            with pytest.raises(ConfigError, match="^r1: this ReLUSpec"):
+                compile_plan(network, partition_sizes=sizes)
+        # the error names whichever layer splits the chain
+        fc_first = Network("fc-conv", TensorShape(3, 4, 4), [
+            ConvSpec("c1", kernel=3, stride=1, out_channels=4, padding=1),
+            FCSpec("fc", out_features=8),
+            ConvSpec("c2", kernel=1, stride=1, out_channels=2),
+        ])
+        with pytest.raises(ConfigError, match="^fc: this FCSpec does not"):
+            compile_plan(fc_first)
 
 
 class TestLazyExecutor:

@@ -1,12 +1,16 @@
-"""NetworkExecutor.run_batch: both paths, equivalence and instrumentation.
+"""Linear plans run a batch: both paths, equivalence and instrumentation.
 
-A batch runs as one stacked call per layer when the executor is in
-integer mode and the magnitude bound proves the batch exact in its
-carrying type (:func:`repro.sim.ops.carrying_dtype`, the rule DAG
-batches use), and item by item otherwise. Either way the outputs are
-bit-identical to per-item :meth:`NetworkExecutor.run` calls; the
-``network.run`` spans show which path ran (one per batch, or one per
-item) and the ``network.run_batch`` span the carrying dtype.
+A linear :class:`~repro.serve.plan.CompiledPlan` runs a batch through
+:meth:`~repro.graph.executor.GraphExecutor.run_fused` on its network's
+chain graph, the executor DAG plans use. The batch runs as one stacked
+array when the plan is in integer precision and the magnitude bound
+proves it exact in its carrying type
+(:func:`repro.sim.ops.carrying_dtype`), and item by item otherwise.
+Either way the outputs are bit-identical to per-item
+:meth:`NetworkExecutor.run` calls, the layer-by-layer oracle. The
+``graph.run`` span reports the carrying dtype, the
+``graph.per_item_batches`` counter an integer batch run item by item,
+and the ``graph.atom[...]`` spans how often each atom ran.
 """
 
 from __future__ import annotations
@@ -20,15 +24,14 @@ from repro.nn.layers import LRNSpec
 from repro.nn.shapes import ShapeError
 from repro.nn.zoo import alexnet, nin_cifar, toynet
 from repro.obs import capture
-from repro.sim import NetworkExecutor, TrafficTrace
+from repro.serve import compile_plan
+from repro.sim import NetworkExecutor, TrafficTrace, make_input
 from repro.sim.ops import Magnitude, lrn, spec_magnitude
 
 
 def _inputs(network, n, seed=7):
-    shape = network.input_shape
-    rng = np.random.default_rng(seed)
-    return [np.round(rng.uniform(-4.0, 4.0, size=(
-        shape.channels, shape.height, shape.width))) for _ in range(n)]
+    return [make_input(network.input_shape, seed=seed + i, integer=True)
+            for i in range(n)]
 
 
 def _grouped():
@@ -51,46 +54,48 @@ def _lrn_net():
     ])
 
 
-def _run_spans(executor, xs):
-    """Outputs of ``run_batch`` and the number of ``network.run`` spans."""
-    with capture() as registry:
-        outs = executor.run_batch(xs)
-    names = [span.name for span in registry.spans]
-    assert names.count("network.run_batch") == 1
-    return outs, names.count("network.run")
+def _oracle(plan):
+    """The layer-by-layer executor a plan's outputs must equal."""
+    return NetworkExecutor(plan.network, seed=plan.seed,
+                           integer=plan.key.precision == "int")
 
 
-def _carried(executor, xs):
-    """The dtype ``run_batch`` carried ``xs`` in."""
+def _execute(plan, xs):
+    """Outputs of ``plan.execute(xs)``, the carrying dtype its
+    ``graph.run`` span reports, the per-item counter, and how many atom
+    spans ran."""
     with capture() as registry:
-        executor.run_batch(xs)
-    (span,) = [s for s in registry.spans if s.name == "network.run_batch"]
-    return span.attrs["dtype"]
+        outs = plan.execute(xs)
+    (span,) = [s for s in registry.spans if s.name == "graph.run"]
+    atoms = sum(s.name.startswith("graph.atom[") for s in registry.spans)
+    return (outs, span.attrs["dtype"],
+            registry.counters.get("graph.per_item_batches", 0), atoms)
+
+
+def _assert_matches_oracle(plan, xs, outs):
+    oracle = _oracle(plan)
+    assert len(outs) == len(xs)
+    for x, out in zip(xs, outs):
+        ref = oracle.run(x)
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_run_batch_matches_per_item_runs():
-    network = toynet()
-    executor = NetworkExecutor(network, seed=0, integer=True)
-    xs = _inputs(network, 4)
-    outs = executor.run_batch(xs)
-    assert len(outs) == 4
-    for x, out in zip(xs, outs):
-        assert np.array_equal(out, executor.run(x))
+    plan = compile_plan(toynet())
+    xs = _inputs(plan.network, 4)
+    _assert_matches_oracle(plan, xs, plan.execute(xs))
 
 
 @pytest.mark.parametrize("make_net", [toynet, nin_cifar, _grouped],
                          ids=["toynet", "nin", "grouped"])
 def test_bit_identical_to_per_item_runs(make_net):
-    network = make_net()
-    executor = NetworkExecutor(network, seed=0, integer=True)
-    xs = _inputs(network, 5, seed=0)
-    outs, runs = _run_spans(executor, xs)
-    assert runs == 1  # one stacked call
-    assert _carried(executor, xs) == "float32"
-    for x, out in zip(xs, outs):
-        ref = executor.run(x)
-        assert out.dtype == ref.dtype == np.float64
-        assert np.array_equal(out, ref)
+    plan = compile_plan(make_net())
+    xs = _inputs(plan.network, 5, seed=0)
+    outs, dtype, per_item, atoms = _execute(plan, xs)
+    assert (dtype, per_item, atoms) == ("float32", 0, plan.num_groups)
+    assert all(out.dtype == np.float64 for out in outs)
+    _assert_matches_oracle(plan, xs, outs)
 
 
 def test_lrn_batched_matches_per_item_operator():
@@ -119,33 +124,39 @@ def test_exactness_gate():
         PoolSpec("p1", kernel=3, stride=3, mode="avg"),
     ])
     assert not _exact(inexact_avg)
-    executor = NetworkExecutor(inexact_avg, integer=True)
-    assert _run_spans(executor, _inputs(inexact_avg, 2))[1] == 2
+    plan = compile_plan(inexact_avg)
+    xs = _inputs(inexact_avg, 2)
+    outs, dtype, per_item, atoms = _execute(plan, xs)
+    assert (dtype, per_item, atoms) == ("float64", 1, 2)
+    _assert_matches_oracle(plan, xs, outs)
 
 
 def test_run_batch_emits_one_run_span_per_item():
-    """The per-item path: float mode, or an integer-mode network the
-    exactness gate rejects; the vectorized path runs once per batch."""
-    for network, integer in ((toynet(), False), (_lrn_net(), True)):
-        executor = NetworkExecutor(network, seed=0, integer=integer)
+    """The per-item path — float precision, or an integer-mode network
+    the exactness gate rejects — runs every atom once per item; the
+    stacked path runs it once per batch."""
+    for network, precision in ((toynet(), "float"), (_lrn_net(), "int")):
+        plan = compile_plan(network, precision=precision)
         xs = _inputs(network, 3)
-        outs, runs = _run_spans(executor, xs)
-        assert runs == 3
-        for x, out in zip(xs, outs):
-            assert np.array_equal(out, executor.run(x))
-    vectorized = NetworkExecutor(toynet(), seed=0, integer=True)
-    assert _run_spans(vectorized, _inputs(vectorized.network, 3))[1] == 1
+        outs, dtype, per_item, atoms = _execute(plan, xs)
+        assert atoms == 3 * plan.num_groups
+        # float64 requests: float precision computes in their own dtype
+        assert (dtype, per_item) == (("float64", 0) if precision == "float"
+                                     else ("float64", 1))
+        _assert_matches_oracle(plan, xs, outs)
+    stacked = compile_plan(toynet())
+    _, _, _, atoms = _execute(stacked, _inputs(stacked.network, 3))
+    assert atoms == stacked.num_groups
 
 
 def test_vectorized_trace_totals_equal_the_sum_of_per_item_traces():
-    network = toynet()
-    executor = NetworkExecutor(network, seed=0, integer=True)
-    xs = _inputs(network, 3)
+    plan = compile_plan(toynet(), partition_sizes=(1, 1))
+    xs = _inputs(plan.network, 3)
     batch_trace = TrafficTrace()
-    executor.run_batch(xs, batch_trace)
+    plan.executor.run_fused(np.stack(xs), batch_trace)
     item_traces = [TrafficTrace() for _ in xs]
     for x, trace in zip(xs, item_traces):
-        executor.run(x, trace)
+        plan.executor.run_fused(x, trace)
     for total in ("dram_read_elements", "dram_write_elements", "ops", "macs"):
         assert getattr(batch_trace, total) == sum(
             getattr(t, total) for t in item_traces), total
@@ -155,43 +166,39 @@ def test_vectorized_trace_totals_equal_the_sum_of_per_item_traces():
 
 
 def test_accepts_stacked_4d_input():
-    network = toynet()
-    executor = NetworkExecutor(network, seed=0, integer=True)
-    xs = np.stack(_inputs(network, 3))
-    outs = executor.run_batch(xs)
-    assert len(outs) == 3
-    for x, out in zip(xs, outs):
-        assert np.array_equal(out, executor.run(x))
+    plan = compile_plan(toynet())
+    xs = np.stack(_inputs(plan.network, 3))
+    _assert_matches_oracle(plan, xs, plan.execute(xs))
 
 
 def test_run_batch_of_empty_sequence():
-    for integer in (True, False):
-        executor = NetworkExecutor(toynet(), seed=0, integer=integer)
-        assert executor.run_batch([]) == []
+    for precision in ("int", "float"):
+        plan = compile_plan(toynet(), precision=precision)
+        assert plan.execute([]) == []
+        assert "executor" not in vars(plan)
 
 
 def test_empty_batch_returns_empty_list():
     network = toynet()
     shape = network.input_shape
     empty = np.empty((0, shape.channels, shape.height, shape.width))
-    for integer in (True, False):
-        executor = NetworkExecutor(network, seed=0, integer=integer)
-        outs, runs = _run_spans(executor, empty)
-        assert outs == []
-        assert runs == 0
+    for precision in ("int", "float"):
+        plan = compile_plan(network, precision=precision)
+        with capture() as registry:
+            assert plan.execute(empty) == []
+        assert not [s for s in registry.spans if s.name == "graph.run"]
 
 
 def test_batch_of_one_matches_single_run():
-    network = toynet()
-    executor = NetworkExecutor(network, seed=0, integer=True)
-    x = _inputs(network, 1)[0]
-    assert np.array_equal(executor.run_batch([x])[0], executor.run(x))
+    plan = compile_plan(toynet())
+    x = _inputs(plan.network, 1)[0]
+    assert plan.execute([x])[0].tobytes() == _oracle(plan).run(x).tobytes()
 
 
 def test_wrong_input_shape_is_diagnosed():
-    for integer in (True, False):
-        executor = NetworkExecutor(toynet(), integer=integer)
+    for precision in ("int", "float"):
+        plan = compile_plan(toynet(), precision=precision)
         with pytest.raises(ShapeError):
-            executor.run_batch([np.zeros((1, 2, 2))])
+            plan.execute([np.zeros((1, 2, 2))])
         with pytest.raises(ConfigError):
-            executor.run_batch(np.zeros((2, 2)))  # not (B, C, H, W)
+            plan.execute(np.zeros((2, 2)))  # not (B, C, H, W)

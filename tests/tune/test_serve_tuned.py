@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.serve.plan import PlanCache, PlanKey, compile_plan
 from repro.nn.zoo import toynet, vggnet_e
-from repro.sim.network_exec import NetworkExecutor
+from repro.sim import NetworkExecutor, make_input
 from repro.tune import tune
 
 
@@ -26,10 +26,7 @@ class TestCompileTuned:
     def test_tuned_plan_executes_correctly(self, toy_result):
         network = toynet().feature_extractor()
         plan = compile_plan(network, tuned=toy_result.record)
-        shape = network.input_shape
-        rng = np.random.default_rng(0)
-        x = np.round(rng.uniform(-4, 4, size=(shape.channels, shape.height,
-                                              shape.width)))
+        x = make_input(network.input_shape, seed=0, integer=True)
         direct = NetworkExecutor(network, seed=0, integer=True).run(x)
         out = plan.execute([x])[0]
         assert np.array_equal(out, direct)

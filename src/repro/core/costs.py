@@ -13,9 +13,10 @@ Three quantities characterize a fused group:
 
 * **Recompute overhead** — the extra arithmetic if shared intermediate
   values are recomputed by every pyramid that needs them instead of being
-  cached. Computed *exactly* by integrating per-position pyramid
-  footprints (with border clamping) over all positions, then subtracting
-  the one-pass operation count.
+  cached. Computed *exactly* by integrating the clamped pyramid footprint
+  over all positions, per level as (row-range lengths summed over tip
+  rows) x (column-range lengths summed over tip columns), then
+  subtracting the one-pass operation count.
 
 * **DRAM transfer** — feature-map bytes crossing the chip boundary: the
   group's input map is read once and its final output written once;
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from ..nn.shapes import BYTES_PER_WORD
 from ..nn.stages import Level
-from .pyramid import build_pyramid, position_footprint
+from .pyramid import axis_footprint, build_pyramid
 
 
 @dataclass(frozen=True)
@@ -128,19 +129,26 @@ def recompute_ops(levels: Sequence[Level], tip_h: int = 1, tip_w: int = 1) -> in
 
     Every pyramid computes its entire footprint independently; shared
     intermediate points are computed once per pyramid that needs them.
-    Summed exactly over all pyramid positions with border clamping.
+    Summed exactly over all pyramid positions with border clamping: a
+    level's region at position (r, c) is its row range at r times its
+    column range at c, so the sum over positions is a product of per-axis
+    sums, O(rows + cols) walks instead of O(rows x cols).
     """
     if not levels:
         return 0
-    geometry = build_pyramid(levels, tip_h, tip_w)
-    rows, cols = geometry.num_positions
-    total = 0
-    for r in range(rows):
-        for c in range(cols):
-            footprint = position_footprint(levels, r, c, tip_h, tip_w)
-            for level, (r0, r1, c0, c1) in zip(levels, footprint.out_ranges):
-                total += (r1 - r0) * (c1 - c0) * level.out_channels * level.ops_per_output
-    return total
+    rows, cols = build_pyramid(levels, tip_h, tip_w).num_positions
+    row_sums = _axis_sums(levels, rows, tip_h, "height")
+    col_sums = _axis_sums(levels, cols, tip_w, "width")
+    return sum(row_sum * col_sum * level.out_channels * level.ops_per_output
+               for level, row_sum, col_sum in zip(levels, row_sums, col_sums))
+
+
+def _axis_sums(levels: Sequence[Level], positions: int, tip: int,
+               axis: str) -> "list[int]":
+    """Per level, its :func:`axis_footprint` range lengths summed over the
+    tip positions along ``axis``."""
+    walks = [axis_footprint(levels, index, tip, axis) for index in range(positions)]
+    return [sum(hi - lo for lo, hi in ranges) for ranges in zip(*walks)]
 
 
 def recompute_overhead_ops(levels: Sequence[Level], tip_h: int = 1, tip_w: int = 1) -> int:

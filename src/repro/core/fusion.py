@@ -85,17 +85,17 @@ def analyze_group(levels: Sequence[Level], strategy: Strategy = Strategy.REUSE,
     if not levels:
         raise ShapeError("a fusion group needs at least one level")
     levels = tuple(levels)
-    if strategy is Strategy.REUSE:
-        storage = reuse_storage_bytes(levels, tip_h, tip_w, include_input_level)
-        extra_ops = 0
-    else:
-        storage = 0
-        extra_ops = recompute_overhead_ops(levels, tip_h, tip_w)
+    storage = extra_ops = 0
     if len(levels) == 1:
         # A single-level group is plain layer-by-layer evaluation: no
         # intermediate data exists, so neither strategy costs anything.
-        storage = 0
-        extra_ops = 0
+        # Its tip is still validated, as the cost models validate longer
+        # groups' tips (ShapeError).
+        build_pyramid(levels, tip_h, tip_w)
+    elif strategy is Strategy.REUSE:
+        storage = reuse_storage_bytes(levels, tip_h, tip_w, include_input_level)
+    else:
+        extra_ops = recompute_overhead_ops(levels, tip_h, tip_w)
     return GroupAnalysis(
         levels=levels,
         strategy=strategy,

@@ -8,8 +8,9 @@ base read from DRAM.
 
 Tiles live in *padded* coordinates at each level's input (padding zeros are
 materialized by the accelerator's padding stage). Tiles near feature-map
-borders clamp to the map; :func:`clamped_range` computes exact per-position
-extents, which the recompute-cost model integrates over.
+borders clamp to the map; :func:`axis_footprint` computes a level's exact
+clamped rows from the tip row alone (columns from the tip column), so the
+recompute-cost model integrates the two axes separately.
 """
 
 from __future__ import annotations
@@ -148,28 +149,32 @@ class PositionFootprint:
     out_ranges: Tuple[Tuple[int, int, int, int], ...]
 
 
+def axis_footprint(levels: Sequence[Level], index: int, tip: int,
+                   axis: str) -> Tuple[Tuple[int, int], ...]:
+    """Each level's output range (unpadded, first level first) along
+    ``axis`` — ``"height"`` for tip row ``index`` of height ``tip``,
+    ``"width"`` for a tip column — back-projected from the tip's block:
+    padded input range, minus padding, clamped to the unpadded map."""
+    lo, hi = clamped_range(index * tip, index * tip + tip,
+                           getattr(levels[-1].out_shape, axis))
+    ranges: List[Tuple[int, int]] = []
+    for level in reversed(levels):
+        ranges.append((lo, hi))
+        in_lo, in_hi = backward_range(lo, hi, level.kernel, level.stride)
+        lo, hi = clamped_range(in_lo - level.pad, in_hi - level.pad,
+                               getattr(level.in_shape, axis))
+    return tuple(reversed(ranges))
+
+
 def position_footprint(levels: Sequence[Level], tip_row: int, tip_col: int,
                        tip_h: int = 1, tip_w: int = 1) -> PositionFootprint:
     """Trace one pyramid position backward with exact border clamping.
 
     ``tip_row``/``tip_col`` index pyramid positions (each covering a
-    ``tip_h x tip_w`` block of the final output map).
+    ``tip_h x tip_w`` block of the final output map). Each level's region
+    pairs the :func:`axis_footprint` row range with the column range.
     """
-    final = levels[-1].out_shape
-    row_lo, row_hi = clamped_range(tip_row * tip_h, tip_row * tip_h + tip_h, final.height)
-    col_lo, col_hi = clamped_range(tip_col * tip_w, tip_col * tip_w + tip_w, final.width)
-
-    ranges: List[Tuple[int, int, int, int]] = []
-    for level in reversed(levels):
-        ranges.append((row_lo, row_hi, col_lo, col_hi))
-        # Back-project this level's output range to its producer's output
-        # (= this level's unpadded input): padded input range, minus pad,
-        # clamped to the unpadded map.
-        in_row_lo, in_row_hi = backward_range(row_lo, row_hi, level.kernel, level.stride)
-        in_col_lo, in_col_hi = backward_range(col_lo, col_hi, level.kernel, level.stride)
-        unpadded = level.in_shape
-        row_lo, row_hi = clamped_range(in_row_lo - level.pad, in_row_hi - level.pad,
-                                       unpadded.height)
-        col_lo, col_hi = clamped_range(in_col_lo - level.pad, in_col_hi - level.pad,
-                                       unpadded.width)
-    return PositionFootprint(out_ranges=tuple(reversed(ranges)))
+    rows = axis_footprint(levels, tip_row, tip_h, "height")
+    cols = axis_footprint(levels, tip_col, tip_w, "width")
+    return PositionFootprint(out_ranges=tuple(
+        (r0, r1, c0, c1) for (r0, r1), (c0, c1) in zip(rows, cols)))

@@ -14,6 +14,7 @@ steady-state fresh tile each pyramid contributes at that layer.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence, Tuple
@@ -258,21 +259,17 @@ def optimize_fused(levels: Sequence[Level], dsp_budget: int,
                 best_dsp = option.dsp
         candidates.append(pruned)
 
-    targets = sorted({option.cycles for options in candidates for option in options})
+    # Along each pruned list cycles strictly rise and DSP strictly falls,
+    # so the options within a target form a prefix whose cheapest-DSP
+    # member is its last; no two share a DSP count, so no tie remains.
+    cycle_lists = [[o.cycles for o in options] for options in candidates]
+    targets = sorted({cycles for cycle_list in cycle_lists for cycles in cycle_list})
     best: Optional[Tuple[tuple, List[ModuleConfig]]] = None
     for target in targets:
-        picks: List[ModuleConfig] = []
-        feasible = True
-        for options in candidates:
-            usable = [o for o in options if o.cycles <= target]
-            if not usable:
-                feasible = False
-                break
-            # Equal-DSP ties break lexicographically on (tm, tn), so the
-            # chosen shape never depends on candidate enumeration order.
-            picks.append(min(usable, key=lambda m: (m.dsp, m.tm, m.tn)))
-        if not feasible:
+        usable = [bisect_right(cycle_list, target) for cycle_list in cycle_lists]
+        if not all(usable):
             continue
+        picks = [options[n - 1] for options, n in zip(candidates, usable)]
         lanes = sum(p.tm * p.tn for p in picks)
         if lanes > lane_budget:
             continue

@@ -35,6 +35,7 @@ from ..faults.budget import ExplorationBudget
 from ..faults.injector import FaultInjector
 from ..faults.retry import RetryPolicy
 from ..nn.network import Network
+from ..nn.shapes import ShapeError
 from ..obs.slo import SLOTarget
 from ..obs.tracing import Tracer
 from .autoscale import AutoscalePolicy
@@ -250,16 +251,23 @@ class InferenceService:
         :class:`~repro.errors.ServeOverloadError`. ``klass`` selects the
         request class (``"guaranteed"`` requests are admitted up to the
         hard queue cap); ``deadline_ms`` overrides the service's default
-        per-request latency budget for deadline-aware batching.
+        per-request latency budget for deadline-aware batching. An input
+        that is not one ``(C, H, W)`` volume of the plan's network raises
+        :class:`~repro.nn.shapes.ShapeError` before it is enqueued: every
+        batch it joined would fail, and the pool would requeue it forever.
         """
         self.start()
         plan_key = key if key is not None else self._default_key
         if plan_key is None:
             raise ConfigError("no network registered with this service")
+        x = np.asarray(x)
+        expected = self._resolve_plan(plan_key).network.input_shape
+        if x.shape != (expected.channels, expected.height, expected.width):
+            raise ShapeError(f"input {x.shape} != network input {expected}")
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-        request = ServeRequest(id=request_id, key=plan_key, x=np.asarray(x),
+        request = ServeRequest(id=request_id, key=plan_key, x=x,
                                klass=klass, deadline_ms=deadline_ms)
         if self.tracer is not None:
             self._begin_trace(request)

@@ -35,13 +35,16 @@ class NetworkExecutor:
     Weights are deterministic per seed unless supplied; shapes are
     validated against the network's inferred shapes at every step, so a
     drift between the IR's shape inference and the operators fails loudly.
-    A volume (or a stacked batch) runs in its own dtype.
+    A float volume (or a stacked batch) runs in its own dtype; an integer-
+    or bool-typed one in the dtype a served plan carries it in: float64 in
+    integer mode, its precision against the float32 weights in float mode.
     """
 
     def __init__(self, network: Network,
                  params: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
                  seed: int = 0, integer: bool = False):
         self.network = network
+        self.dtype = np.dtype(np.float64 if integer else np.float32)
         self.params = params if params is not None else make_network_weights(
             network, seed=seed, integer=integer)
 
@@ -57,6 +60,9 @@ class NetworkExecutor:
         """
         expected = self.network.input_shape
         current = np.asarray(x)
+        if current.dtype.kind in "biu":
+            # in its own dtype every operator output would be truncated
+            current = current.astype(np.result_type(current.dtype, self.dtype))
         lead = current.shape[:-3]
         if (current.ndim not in (3, 4) or current.shape[-3:]
                 != (expected.channels, expected.height, expected.width)):

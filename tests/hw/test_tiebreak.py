@@ -7,8 +7,16 @@ config, then the lexicographically smallest (Tm, Tn), never the
 enumeration order of an internal dict or candidate list.
 """
 
-from repro.hw.fused_accel import module_cycles, optimize_fused
-from repro.nn.layers import ConvSpec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.pyramid import build_pyramid
+from repro.errors import ConfigError
+from repro.hw.device import DSP_PER_MAC
+from repro.hw.fused_accel import (_divisor_like, _fresh_tiles, module_cycles,
+                                  optimize_fused)
+from repro.nn.layers import ConvSpec, PoolSpec
 from repro.nn.network import Network
 from repro.nn.shapes import TensorShape
 from repro.nn.stages import extract_levels
@@ -66,3 +74,71 @@ class TestTieBreak:
         # every equal-dsp module tie resolved toward the smaller tm
         for tm, tn in next(iter(shapes)):
             assert (tm, tn) <= (tn, tm)
+
+
+def brute_force_pick(levels, dsp_budget):
+    """``optimize_fused``'s choice by exhaustive scan, with no pruning and
+    no bisection: for every target latency each conv module takes, among
+    all its (Tm, Tn) options within the target, the cheapest in DSPs (then
+    the fastest, then the smallest (Tm, Tn), the order the pruned list
+    keeps). Returns the winning key (slowest, imbalance, lanes, shapes),
+    or None when no target fits the budget."""
+    fresh = _fresh_tiles(levels, build_pyramid(levels))
+    lane_budget = (dsp_budget - 16 * (len(levels) + 2)) // DSP_PER_MAC
+    modules = [
+        [(module_cycles(level, tm, tn, *fresh[i]), tm, tn)
+         for tm in _divisor_like(level.out_channels // level.groups, lane_budget)
+         for tn in _divisor_like(level.in_channels // level.groups,
+                                 lane_budget // max(tm, 1))]
+        for i, level in enumerate(levels) if level.is_conv]
+    best = None
+    for target in sorted({o[0] for options in modules for o in options}):
+        usable = [[o for o in options if o[0] <= target] for options in modules]
+        if not all(usable):
+            continue
+        picks = [min(u, key=lambda o: (o[1] * o[2], o[0], o[1], o[2]))
+                 for u in usable]
+        lanes = sum(tm * tn for _, tm, tn in picks)
+        cycles = [c for c, _, _ in picks]
+        key = (max(cycles), max(cycles) - min(cycles), lanes,
+               tuple((tm, tn) for _, tm, tn in picks))
+        if lanes <= lane_budget and (best is None or key < best):
+            best = key
+    return best
+
+
+@st.composite
+def conv_group(draw):
+    """One to three 3x3 convs (some grouped), each optionally pooled,
+    over channel counts with many divisors."""
+    in_channels = channels = draw(st.sampled_from([1, 3, 4, 6, 12, 16, 24]))
+    specs = []
+    for i in range(draw(st.integers(1, 3))):
+        out = draw(st.sampled_from([2, 4, 6, 8, 12, 16, 24, 32]))
+        groups = 2 if channels % 2 == 0 and draw(st.booleans()) else 1
+        specs.append(ConvSpec(f"c{i}", kernel=3, stride=1, out_channels=out,
+                              padding=1, groups=groups))
+        channels = out
+        if draw(st.booleans()):
+            specs.append(PoolSpec(f"p{i}", kernel=2, stride=2))
+    return extract_levels(Network("rand", TensorShape(in_channels, 16, 16),
+                                  specs))
+
+
+class TestBisectedPick:
+    """Each module's pick is bisected out of its pruned option list; it
+    must be the design an exhaustive scan of every option chooses."""
+
+    @given(levels=conv_group(), dsp_budget=st.integers(60, 2400))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_scan(self, levels, dsp_budget):
+        expected = brute_force_pick(levels, dsp_budget)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                optimize_fused(levels, dsp_budget=dsp_budget)
+            return
+        modules = optimize_fused(levels, dsp_budget=dsp_budget).modules
+        cycles = [m.cycles for m in modules]
+        assert (max(cycles), max(cycles) - min(cycles),
+                sum(m.tm * m.tn for m in modules),
+                tuple((m.tm, m.tn) for m in modules)) == expected

@@ -10,7 +10,7 @@ import pytest
 from repro.core import Strategy
 from repro.errors import ConfigError
 from repro.faults import ExplorationBudget
-from repro.nn.zoo import toynet, nin_cifar
+from repro.nn.zoo import alexnet, googlenet_stem, nin_cifar, toynet, zfnet
 from repro.obs import Registry, capture
 from repro.serve import (
     CompiledPlan,
@@ -134,6 +134,24 @@ class TestCompilePlan:
             ref = oracle.run(x)
             assert out.dtype == ref.dtype == np.float64
             assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("make_net", [
+        toynet, lambda: alexnet(include_classifier=False),
+        lambda: zfnet(include_classifier=False), googlenet_stem],
+        ids=["toynet", "alexnet", "zfnet", "googlenet-stem"])
+    def test_float_plan_serves_int64_requests_as_the_oracle(self, make_net):
+        """An int64 request computes in float64 on the served path and in
+        the oracle, which no longer truncates each layer's output to
+        integers (ToyNet) or fails at an LRN (the other three)."""
+        net = make_net()
+        plan = compile_plan(net, precision="float")
+        x = make_input(net.input_shape, seed=5, integer=True).astype(np.int64)
+        ref = NetworkExecutor(net, seed=plan.seed).run(x)
+        (out,) = plan.execute([x])
+        assert out.dtype == ref.dtype == np.float64
+        assert out.tobytes() == ref.tobytes()
+        assert ref.tobytes() == NetworkExecutor(net, seed=plan.seed).run(
+            x.astype(np.float64)).tobytes()
 
     def test_relu_after_lrn_is_rejected(self):
         from repro import ConvSpec, Network, ReLUSpec, TensorShape

@@ -7,10 +7,12 @@ import pytest
 
 from repro.errors import (ConfigError, ServeOverloadError, ServeShedError,
                           SimFaultError)
+from repro.nn.shapes import ShapeError
 from repro.nn.zoo import nin_cifar
 from repro.obs.slo import SLOTarget
 from repro.serve import (GUARANTEED, AdmissionPolicy, AutoscalePolicy,
-                         InferenceService, PlanCache, ServeStats, percentile)
+                         InferenceService, PlanCache, ServeStats, make_plan_key,
+                         percentile)
 
 
 class TestEdgeCases:
@@ -67,6 +69,29 @@ class TestEdgeCases:
         svc = InferenceService(workers=0)
         with pytest.raises(ConfigError):
             svc.submit(inputs[0])
+
+    def test_bad_shaped_request_is_rejected_at_submit(self, net, inputs,
+                                                      golden):
+        """A request its plan cannot run would fail every batch it joined
+        and be requeued forever: it raises at submit instead, and the
+        requests around it resolve with no worker respawned."""
+        with InferenceService(net, workers=1, max_batch=4) as svc:
+            first = svc.submit(inputs[0])
+            with pytest.raises(ShapeError, match="network input"):
+                svc.submit(np.zeros((1, 2, 2)))
+            with pytest.raises(ShapeError):
+                svc.submit_batch([inputs[1], inputs[1][None]])
+            last = svc.submit(inputs[2])
+            outs = [f.result(timeout=10) for f in (first, last)]
+        for out, ref in zip(outs, (golden[0], golden[2])):
+            assert np.array_equal(out, ref)
+        assert svc.pool.respawns == 0
+
+    def test_unregistered_key_is_rejected_at_submit(self, net, inputs):
+        with InferenceService(net, workers=1) as svc:
+            with pytest.raises(ConfigError, match="no plan registered"):
+                svc.submit(inputs[0], key=make_plan_key(nin_cifar()))
+            assert svc.stats.summary()["submitted"] == 0
 
 
 class TestOverload:

@@ -389,7 +389,8 @@ class GraphExecutor:
         with obs.span("graph.run", network=self.network.name,
                       atoms=len(self.atoms), batch=len(xs)) as span:
             envs = self.batch_envs(xs)
-            span.set(dtype=envs[0][INPUT].dtype.name)
+            if obs.enabled():
+                span.set(dtype=envs[0][INPUT].dtype.name)
             for env in envs:
                 for atom in self.atoms:
                     self.run_atom(atom, env, trace)

@@ -17,8 +17,12 @@ injector is installed, each served result may arrive "corrupted"
 the request under the bounded
 :class:`~repro.faults.retry.RetryPolicy`; exhaustion surfaces as a
 diagnosed :class:`~repro.errors.SimFaultError` on that request's future,
-never as silent corruption. A worker that dies mid-batch is respawned
-and its unfinished requests are requeued at the front of the line.
+never as silent corruption. A batch whose execution raises is re-run one
+request at a time, so a request that cannot run fails alone, with its
+own error on its future, and the rest are served. A worker that dies
+mid-batch (a crash outside execution, or a dead child process) is
+respawned and its unfinished requests are requeued at the front of the
+line.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ from .scheduler import BatchScheduler, ServeRequest
 from .stats import ServeStats
 
 MODES = ("thread", "process")
+
+#: What a dead child process raises on its pipe (BrokenPipeError is an
+#: OSError): a worker death, not a fault of the batch it was running.
+_CHILD_DEATHS = (EOFError, OSError)
 
 
 def _process_main(conn, plan_state) -> None:
@@ -366,7 +374,7 @@ class WorkerPool:
         def execute(xs: List[np.ndarray]) -> List[np.ndarray]:
             try:
                 return client.execute(xs)
-            except (EOFError, BrokenPipeError, OSError):
+            except _CHILD_DEATHS:
                 # dead child: respawn it and retry the batch once
                 client.respawn()
                 with self._lock:
@@ -380,6 +388,12 @@ class WorkerPool:
                         batch: List[ServeRequest],
                         exec_spans: Dict[int, int]) -> List:
         """Execute a batch, repairing injected per-request transfer faults.
+
+        A batch whose execution raises (``plan.execute`` in a thread, the
+        child's error reply in a process) is re-run one item at a time,
+        and each item that raises again gets its exception as its
+        result. A dead child is the worker's death instead: it
+        propagates, and the batch is requeued.
 
         Each result's delivery may be corrupted (``transfer_corrupt``
         site ``serve[<request id>]`` — per-request streams, so decisions
@@ -397,11 +411,18 @@ class WorkerPool:
         advances virtual time instead of blocking.
         """
         xs = [r.x for r in batch]
-        outs: List = list(execute(xs))
+        try:
+            outs: List = list(execute(xs))
+        except _CHILD_DEATHS:
+            raise  # the worker died: requeue and respawn
+        except Exception:
+            outs = self._run_items(execute, xs)
         injector = self.faults
         if injector is None or not injector.enabled:
             return outs
         for idx, request in enumerate(batch):
+            if isinstance(outs[idx], Exception):
+                continue  # it never ran, so nothing was delivered
             rid = request.id
             site = f"serve[{rid}]"
             attempt = 1
@@ -428,4 +449,19 @@ class WorkerPool:
                         parent_id=exec_spans.get(rid, -1),
                         value=float(stall_cycles), cycles=stall_cycles)
                 self.clock.sleep(stall_cycles * self.stall_s_per_cycle)
+        return outs
+
+    @staticmethod
+    def _run_items(execute, xs: List[np.ndarray]) -> List:
+        """Re-run a batch whose execution raised one item at a time: an
+        item that raises again gets its exception as its result, so only
+        a request that cannot run fails."""
+        outs: List = []
+        for x in xs:
+            try:
+                outs.append(execute([x])[0])
+            except _CHILD_DEATHS:
+                raise
+            except Exception as err:
+                outs.append(err)
         return outs

@@ -165,6 +165,10 @@ class FusedExecutor:
         ) * np.dtype(self.dtype).itemsize
         self._faults = faults
         self._retry = retry if retry is not None else RetryPolicy()
+        #: the ``fused.run`` span's attributes, fixed per executor
+        self._span_attrs = {"levels": len(self.levels),
+                            "grid": f"{self.grid_rows}x{self.grid_cols}",
+                            "tip": f"{tip_h}x{tip_w}"}
 
     # -- public API -----------------------------------------------------------
 
@@ -190,9 +194,7 @@ class FusedExecutor:
         out = np.zeros(call.lead + (final.channels, final.height, final.width),
                        dtype=self.dtype)
 
-        with obs.span("fused.run", levels=len(self.levels),
-                      grid=f"{self.grid_rows}x{self.grid_cols}",
-                      tip=f"{self.tip_h}x{self.tip_w}"):
+        with obs.span("fused.run", **self._span_attrs):
             for p in range(self.grid_rows):
                 with obs.span("fused.pyramid_row", row=p):
                     for q in range(self.grid_cols):

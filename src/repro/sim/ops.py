@@ -2,10 +2,21 @@
 
 Every operator acts on the trailing ``(channels, height, width)`` axes
 and carries any leading batch axis through, so one call evaluates a
-single volume or a stacked ``(B, C, H, W)`` batch. Convolution is direct
-(via stride-tricks windowing + one contraction), matching the
-accelerator's arithmetic order closely enough for float32 comparison
-with small tolerances; integer inputs reproduce exactly.
+single volume or a stacked ``(B, C, H, W)`` batch. Three kernels do the
+windowed work:
+
+- a K x K convolution is a window GEMM: one contraction of the weights
+  with a stride-tricks view of every K x K window (grouped and
+  depthwise convs stack that GEMM over a group axis);
+- a 1 x 1 convolution is a channel contraction of the strided map
+  itself, the same GEMM operands without building a window view;
+- max pooling is a running maximum over the K^2 shifted, strided tap
+  slices of the map, byte-equal to the window reduction (±0, NaN and
+  ±inf too).
+
+The arithmetic order matches the accelerator's closely enough for
+float32 comparison with small tolerances; integer inputs reproduce
+exactly.
 
 Two functions are the only code that maps a layer to an operator call:
 :func:`apply_spec` (one table keyed on spec type, for
@@ -23,7 +34,7 @@ for linear networks and DAGs alike.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +63,16 @@ def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return view[..., :out_h * stride:stride, :out_w * stride:stride, :, :]
 
 
+def _taps(x: np.ndarray, kernel: int, stride: int) -> List[np.ndarray]:
+    """The K^2 taps of all K x K windows, in row-major order: tap (i, j)
+    is the strided slice holding offset (i, j) of every window, shape
+    (..., C, OH, OW)."""
+    rows, cols = ((conv_output_extent(n, kernel, stride) - 1) * stride + 1
+                  for n in x.shape[-2:])
+    return [x[..., i:i + rows:stride, j:j + cols:stride]
+            for i in range(kernel) for j in range(kernel)]
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
            stride: int = 1, pad: int = 0, groups: int = 1) -> np.ndarray:
     """2-D convolution (really cross-correlation, as in every CNN framework).
@@ -72,12 +93,20 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
     if m % groups != 0:
         raise ShapeError(f"output channels {m} not divisible by groups {groups}")
 
-    windows = _windows(x, kh, stride)  # (..., N, OH, OW, K, K)
     if groups == 1:
-        # (M, N, K, K) x (..., N, OH, OW, K, K) -> (M, ..., OH, OW)
-        out = np.tensordot(weights, windows, axes=([1, 2, 3], [-5, -2, -1]))
+        if kh == 1:
+            # (M, N) x (..., N, OH, OW) -> (M, ..., OH, OW): the window
+            # GEMM's operands, without building a 1 x 1 window view
+            (tap,) = _taps(x, 1, stride)
+            out = np.tensordot(weights.reshape(m, n_per_group), tap,
+                               axes=([1], [-3]))
+        else:
+            # (M, N, K, K) x (..., N, OH, OW, K, K) -> (M, ..., OH, OW)
+            out = np.tensordot(weights, _windows(x, kh, stride),
+                               axes=([1, 2, 3], [-5, -2, -1]))
         out = np.moveaxis(out, 0, -3)
     else:
+        windows = _windows(x, kh, stride)  # (..., N, OH, OW, K, K)
         lead, (out_h, out_w) = windows.shape[:-5], windows.shape[-4:-2]
         # (..., G, N/G, OH, OW, K, K) -> (..., G, N/G*K*K, OH*OW)
         cols = windows.reshape(lead + (groups, n_per_group, out_h, out_w, kh, kw))
@@ -92,8 +121,17 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: "np.ndarray | None" = None,
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Max pooling over K x K windows with stride S."""
-    return _windows(x, kernel, stride).max(axis=(-2, -1))
+    """Max pooling over K x K windows with stride S.
+
+    A running maximum over the window's K^2 taps, taken in the row-major
+    order the window reduction visits them, so ties between ±0 and NaNs
+    resolve exactly as ``windows.max(axis=(-2, -1))`` does.
+    """
+    taps = _taps(x, kernel, stride)
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 def avgpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:

@@ -87,6 +87,28 @@ class TestEdgeCases:
             assert np.array_equal(out, ref)
         assert svc.pool.respawns == 0
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_request_that_cannot_run_fails_alone(self, net, inputs, golden,
+                                                 mode):
+        """A request of the right shape that still cannot run (an object
+        array of strings) fails on its own future: its batch is re-run
+        item by item, the requests around it are served, and no worker
+        dies. It used to be requeued, and its worker respawned, forever."""
+        svc = InferenceService(net, workers=1, max_batch=4, mode=mode)
+        unrunnable = np.full(inputs[1].shape, "x", dtype=object)
+        futures = [svc.submit(inputs[0]), svc.submit(unrunnable),
+                   svc.submit(inputs[2])]
+        try:
+            for future, ref in zip(futures[::2], golden[::2]):
+                assert np.array_equal(future.result(timeout=10), ref)
+            with pytest.raises((TypeError, SimFaultError)):
+                futures[1].result(timeout=10)
+        finally:
+            svc.shutdown(drain=False, timeout=10)
+        assert not any(t.is_alive() for t in svc.pool._threads)
+        assert svc.pool.respawns == 0
+        assert svc.stats.failed == 1
+
     def test_unregistered_key_is_rejected_at_submit(self, net, inputs):
         with InferenceService(net, workers=1) as svc:
             with pytest.raises(ConfigError, match="no plan registered"):

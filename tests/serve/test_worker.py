@@ -75,6 +75,26 @@ class TestFaultRetries:
                     future.result(timeout=30)
         assert svc.stats.failed == 4
 
+    def test_request_that_cannot_run_draws_no_transfer_fault(self, net,
+                                                            inputs):
+        """A request whose execution raises delivers nothing, so no
+        corrupted delivery re-runs it (which would raise again, out of
+        the batch, and requeue it forever)."""
+        injector = FaultPlan.parse("transfer_corrupt:p=1.0", seed=0).injector()
+        svc = InferenceService(net, workers=1, max_batch=4, faults=injector,
+                               retry=RetryPolicy(max_attempts=2))
+        unrunnable = np.full(inputs[1].shape, "x", dtype=object)
+        futures = svc.submit_batch([inputs[0], unrunnable])
+        try:
+            with pytest.raises(SimFaultError):
+                futures[0].result(timeout=10)  # retries exhausted
+            with pytest.raises(TypeError):
+                futures[1].result(timeout=10)
+        finally:
+            svc.shutdown(drain=False, timeout=10)
+        assert svc.pool.respawns == 0
+        assert svc.stats.failed == 2
+
 
 class TestCrashRecovery:
     def test_dead_worker_is_respawned_and_batch_requeued(

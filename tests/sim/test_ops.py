@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.shapes import ShapeError
 from repro.sim import ops
@@ -236,3 +238,99 @@ class TestElementwise:
         out = ops.fully_connected(x, w, b)
         np.testing.assert_array_equal(out.ravel(), [1, 2, 3, 4])
         assert out.shape == (4, 1, 1)
+
+
+# -- window-free kernels against the window formulation ---------------------------
+
+#: max pooling's corner cases: signed zeros, infinities and NaN
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 3.0, np.inf, -np.inf, np.nan)
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+def window_view(x, kernel, stride):
+    """Every K x K window of a map that tiles exactly, as a stride-tricks
+    view of shape (..., C, OH, OW, K, K)."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel),
+                                                    axis=(-2, -1))
+    return view[..., ::stride, ::stride, :, :]
+
+
+def window_maxpool(x, kernel, stride):
+    return window_view(x, kernel, stride).max(axis=(-2, -1))
+
+
+def window_pointwise(x, w, b, stride):
+    out = np.tensordot(w, window_view(x, 1, stride),
+                       axes=([1, 2, 3], [-5, -2, -1]))
+    out = np.moveaxis(out, 0, -3)
+    if b is not None:
+        out = out + b[:, None, None]
+    return out.astype(x.dtype, copy=False)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tiling_shapes(draw, kernel, stride, channels):
+    """A non-square ``(C, H, W)`` map, with or without a batch axis,
+    whose K x K windows at stride S tile it exactly."""
+    out_h, out_w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (2,)]))
+    return lead + (channels, (out_h - 1) * stride + kernel,
+                   (out_w - 1) * stride + kernel)
+
+
+class TestWindowFreeKernels:
+    """Max pooling and 1 x 1 convolution slice the map instead of building
+    a window view, and must equal the window formulation byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kernel=st.integers(1, 4), stride=st.integers(1, 3),
+           dtype=FLOATS)
+    def test_maxpool_equals_window_reduction(self, data, kernel, stride,
+                                             dtype):
+        shape = data.draw(tiling_shapes(kernel, stride,
+                                        data.draw(st.integers(1, 3))))
+        values = data.draw(st.lists(st.sampled_from(SPECIAL_VALUES),
+                                    min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        x = np.array(values, dtype=dtype).reshape(shape)
+        assert_same_bytes(ops.maxpool2d(x, kernel, stride),
+                          window_maxpool(x, kernel, stride))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), stride=st.integers(1, 3), dtype=FLOATS,
+           weight_dtype=FLOATS, integer=st.booleans(), with_bias=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pointwise_conv_equals_window_contraction(
+            self, data, stride, dtype, weight_dtype, integer, with_bias, seed):
+        n, m = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+        shape = data.draw(tiling_shapes(1, stride, n))
+        rng = np.random.default_rng(seed)
+
+        def draw(size, kind):
+            values = (integer_valued(rng, size) if integer
+                      else rng.standard_normal(size))
+            return values.astype(kind)
+
+        x = draw(shape, dtype)
+        w = draw((m, n, 1, 1), weight_dtype)
+        b = draw(m, weight_dtype) if with_bias else None
+        assert_same_bytes(ops.conv2d(x, w, b, stride=stride),
+                          window_pointwise(x, w, b, stride))
+
+    def test_no_window_view_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a sliding window view")
+
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            refuse)
+        x = np.arange(2 * 3 * 5 * 7, dtype=np.float32).reshape(2, 3, 5, 7)
+        assert ops.maxpool2d(x, 3, 2).shape == (2, 3, 2, 3)
+        w = np.ones((4, 3, 1, 1), dtype=np.float32)
+        assert ops.conv2d(x, w, np.zeros(4, np.float32),
+                          stride=2).shape == (2, 4, 3, 4)
